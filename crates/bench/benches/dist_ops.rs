@@ -28,11 +28,10 @@ fn bench_convolve(c: &mut Criterion) {
 }
 
 fn bench_convolve_tiers(c: &mut Criterion) {
-    // The same convolution forced through each kernel tier (the env
-    // override is read once per process, so tiers are pinned via the
-    // explicit APIs): the scalar reference, the best dense SIMD backend
-    // this CPU offers, and — for wide×wide pairs past the auto
-    // crossover — the certified FFT path.
+    // The same convolution forced through each kernel backend (the env
+    // override is read once per process, so backends are pinned via
+    // `convolve_dense`): the scalar reference and the best SIMD backend
+    // this CPU offers.
     let mut group = c.benchmark_group("convolve_tiers");
     let delay = delay_like();
     let simd = KernelBackend::detected();
@@ -62,12 +61,6 @@ fn bench_convolve_tiers(c: &mut Criterion) {
         group.bench_function(&format!("pair_{bins}/simd"), |b| {
             b.iter(|| {
                 let r = a.convolve_dense(&b2, simd, &mut scratch);
-                scratch.recycle(r);
-            })
-        });
-        group.bench_function(&format!("pair_{bins}/fft"), |b| {
-            b.iter(|| {
-                let r = a.convolve_fft_into(&b2, &mut scratch);
                 scratch.recycle(r);
             })
         });

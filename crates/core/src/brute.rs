@@ -5,7 +5,7 @@ use crate::deadline::{Deadline, DeadlineExceeded};
 use crate::objective::Objective;
 use crate::parallel::{default_threads, normalize_threads, run_indexed};
 use crate::selection::Selection;
-use statsize_dist::{DistScratch, TierPolicy};
+use statsize_dist::DistScratch;
 use statsize_netlist::GateId;
 use statsize_ssta::ConeWalk;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -28,7 +28,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 pub struct BruteForceSelector {
     delta_w: f64,
     threads: usize,
-    kernel_policy: TierPolicy,
     deadline: Deadline,
 }
 
@@ -51,7 +50,6 @@ impl BruteForceSelector {
         Self {
             delta_w,
             threads: default_threads(),
-            kernel_policy: TierPolicy::exact(),
             deadline: Deadline::none(),
         }
     }
@@ -85,17 +83,6 @@ impl BruteForceSelector {
     /// candidate count).
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// Sets the kernel tier policy for the sweep's cone walks (default:
-    /// exact). The exact sensitivities this selector is the reference
-    /// for are percentile queries, so a caller may allow the certified
-    /// FFT tier for wide-arrival profiles; the pruned selector matches
-    /// this one bit for bit only when both run the same policy.
-    #[must_use]
-    pub fn with_kernel_policy(mut self, policy: TierPolicy) -> Self {
-        self.kernel_policy = policy;
-        self
     }
 
     /// Finds the gate with the highest exact sensitivity
@@ -159,9 +146,8 @@ impl BruteForceSelector {
         let base_cost = circuit.objective_value(objective);
         // One buffer pool for the whole sweep: each candidate's walk
         // recycles through it, so the per-candidate allocation cost is
-        // O(front width), not O(cone size). The pool carries the
-        // selector's kernel tier policy.
-        let mut scratch = DistScratch::with_policy(self.kernel_policy);
+        // O(front width), not O(cone size).
+        let mut scratch = DistScratch::new();
         let mut all = Vec::with_capacity(gates.len());
         for gate in gates {
             // Cooperative deadline, once per candidate cone walk.
@@ -206,13 +192,12 @@ impl BruteForceSelector {
         threads: usize,
     ) -> Result<Vec<Selection>, DeadlineExceeded> {
         let base_cost = circuit.objective_value(objective);
-        let scratch = || DistScratch::with_policy(self.kernel_policy);
         // Cooperative-deadline latch shared by the workers. Post-expiry
         // claims return a placeholder so the claim/scatter invariant
         // (every slot filled) holds; the whole result is then discarded
         // in favour of the error.
         let expired = AtomicBool::new(false);
-        let all = run_indexed(threads, gates.len(), scratch, |scratch, idx| {
+        let all = run_indexed(threads, gates.len(), DistScratch::new, |scratch, idx| {
             if expired.load(Ordering::Relaxed) || self.deadline.expired() {
                 expired.store(true, Ordering::Relaxed);
                 return Selection {

@@ -72,7 +72,6 @@ use crate::optimizer::{OptimizationResult, Optimizer, SelectorKind, StopReason};
 use crate::parallel;
 use crate::store::{ResultStore, ScenarioKey};
 use statsize_cells::{CellLibrary, VariationModel};
-use statsize_dist::TierPolicy;
 use statsize_netlist::Netlist;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -441,7 +440,6 @@ pub struct Campaign {
     variation: VariationModel,
     shards: usize,
     total_threads: usize,
-    kernel_policy: TierPolicy,
     job_deadline: Option<Duration>,
     fallback: Option<SelectorKind>,
     fail_fast: bool,
@@ -494,7 +492,6 @@ impl Campaign {
             variation: VariationModel::paper_default(),
             shards: 1,
             total_threads: 0,
-            kernel_policy: TierPolicy::auto(),
             job_deadline: None,
             fallback: None,
             fail_fast: false,
@@ -518,19 +515,6 @@ impl Campaign {
     /// The recorded corpus RNG seed.
     pub fn corpus_seed(&self) -> u64 {
         self.corpus_seed
-    }
-
-    /// Sets the kernel tier policy used by every circuit's arrival
-    /// propagation and handed to the optimizer's selectors (default:
-    /// [`TierPolicy::auto`], matching [`TimedCircuit::new`]). The pruned
-    /// selector always strips the FFT tier from it — its pruning theory
-    /// requires exact lattice propagation — so campaign outcomes under
-    /// any policy remain bit-identical across shard counts and thread
-    /// budgets.
-    #[must_use]
-    pub fn with_kernel_policy(mut self, policy: TierPolicy) -> Self {
-        self.kernel_policy = policy;
-        self
     }
 
     /// Sets the per-move width increment `Δw`.
@@ -680,8 +664,8 @@ impl Campaign {
 
     /// An FNV-1a hash of every outcome-affecting knob (objective,
     /// selector, Δw, iteration budget, sensitivity floor, lattice step,
-    /// variation model, kernel policy, deadline, fallback) plus the
-    /// [corpus seed](Self::with_corpus_seed). Scheduling knobs — shards,
+    /// variation model, deadline, fallback) plus the [corpus
+    /// seed](Self::with_corpus_seed). Scheduling knobs — shards,
     /// thread budget, fail-fast — are excluded: they never change
     /// outcomes. Journal keys embed this hash (widened by the cell
     /// library via [`journal_fingerprint`](Self::journal_fingerprint)),
@@ -689,7 +673,7 @@ impl Campaign {
     /// identical configuration.
     pub fn fingerprint(&self) -> u64 {
         let repr = format!(
-            "{:?}|{:?}|{}|{}|{}|{}|{:?}|{:?}|{:?}|{:?}|{}",
+            "{:?}|{:?}|{}|{}|{}|{}|{:?}|{:?}|{:?}|{}",
             self.objective,
             self.selector,
             self.delta_w.to_bits(),
@@ -697,7 +681,6 @@ impl Campaign {
             self.min_sensitivity.to_bits(),
             self.dt.to_bits(),
             self.variation,
-            self.kernel_policy,
             self.job_deadline,
             self.fallback,
             self.corpus_seed,
@@ -728,9 +711,9 @@ impl Campaign {
     /// the components partial (warm-start) matching needs — `dt` and the
     /// objective stand alone; the rest fold into one stable
     /// configuration string (selector, `Δw`, iteration budget,
-    /// sensitivity floor, kernel policy, deadline, fallback). Scheduling
-    /// knobs (shards, thread budget, fail-fast) are excluded, exactly as
-    /// in [`fingerprint`](Self::fingerprint).
+    /// sensitivity floor, deadline, fallback). Scheduling knobs (shards,
+    /// thread budget, fail-fast) are excluded, exactly as in
+    /// [`fingerprint`](Self::fingerprint).
     pub fn scenario_key(&self, library: &CellLibrary, netlist: &Netlist) -> ScenarioKey {
         ScenarioKey {
             netlist: fingerprint::netlist_content_hash(netlist),
@@ -739,12 +722,11 @@ impl Campaign {
             dt: self.dt,
             objective: self.objective.wire_name(),
             optimizer: format!(
-                "{}|dw:{}|it:{}|ms:{}|kp:{:?}|dl:{:?}|fb:{}",
+                "{}|dw:{}|it:{}|ms:{}|dl:{:?}|fb:{}",
                 self.selector.wire_name(),
                 self.delta_w,
                 self.max_iterations,
                 self.min_sensitivity,
-                self.kernel_policy,
                 self.job_deadline,
                 self.fallback
                     .map_or_else(|| "none".to_string(), |s| s.wire_name()),
@@ -992,13 +974,7 @@ impl Campaign {
         // forces a panic here in tests.
         let built = catch_unwind(AssertUnwindSafe(|| {
             failpoint::fire("campaign::setup", name);
-            TimedCircuit::with_kernel_policy(
-                netlist,
-                library,
-                self.variation,
-                self.dt,
-                self.kernel_policy,
-            )
+            TimedCircuit::new(netlist, library, self.variation, self.dt)
         }));
         let mut circuit = match built {
             Ok(circuit) => circuit,
@@ -1076,13 +1052,7 @@ impl Campaign {
         // cheap fallback selector, under a fresh deadline of the
         // *configured* budget (not the failpoint-forced one, so an
         // injected overrun still exercises a genuine fallback run).
-        let mut fresh = TimedCircuit::with_kernel_policy(
-            netlist,
-            library,
-            self.variation,
-            self.dt,
-            self.kernel_policy,
-        );
+        let mut fresh = TimedCircuit::new(netlist, library, self.variation, self.dt);
         match self.optimize_attempt(name, &mut fresh, fallback, self.job_deadline, threads, None) {
             Attempt::Panicked(message) => (
                 JobOutcome::Failed(JobError {
@@ -1128,8 +1098,7 @@ impl Campaign {
                 .with_delta_w(self.delta_w)
                 .with_max_iterations(self.max_iterations)
                 .with_min_sensitivity(self.min_sensitivity)
-                .with_threads(threads)
-                .with_kernel_policy(self.kernel_policy);
+                .with_threads(threads);
             if let Some(sizes) = warm_sizes {
                 optimizer = optimizer.with_initial_sizes(sizes.to_vec());
             }
@@ -1510,6 +1479,17 @@ mod tests {
         assert_ne!(base.fingerprint(), base.with_corpus_seed(7).fingerprint());
         assert_eq!(base.corpus_seed(), 0);
         assert_eq!(base.with_corpus_seed(7).corpus_seed(), 7);
+    }
+
+    #[test]
+    fn scenario_key_optimizer_string_is_pinned() {
+        // The store key's configuration string is a persisted format:
+        // any change turns every stored outcome into an exact-key miss.
+        let lib = CellLibrary::synthetic_180nm();
+        let nl = bench::c17();
+        let key = Campaign::new(Objective::percentile(0.99), SelectorKind::Pruned)
+            .scenario_key(&lib, &nl);
+        assert_eq!(key.optimizer, "pruned|dw:1|it:1000|ms:0|dl:None|fb:none");
     }
 
     #[test]

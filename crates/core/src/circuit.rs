@@ -2,7 +2,7 @@
 
 use crate::objective::Objective;
 use statsize_cells::{CellLibrary, DelayModel, GateSizes, VariationModel};
-use statsize_dist::{Dist, TierPolicy};
+use statsize_dist::Dist;
 use statsize_netlist::{GateId, Netlist};
 use statsize_ssta::{ArcDelays, DelayOverrides, SstaAnalysis, SstaUndo, TimingGraph};
 
@@ -71,21 +71,14 @@ pub struct ResizeUndo {
 ///
 /// Sizing moves go through [`commit_resize`](TimedCircuit::commit_resize),
 /// which refreshes the affected delays and re-propagates arrival times in
-/// the fan-out cone only — exactly equivalent to a full SSTA rerun.
-///
-/// Arrival propagation (baseline and incremental alike) runs under the
-/// circuit's kernel [`TierPolicy`] — [`TierPolicy::auto`] by default, so
-/// wide-arrival profiles take the certified FFT tier past the crossover
-/// and everything else stays on the bit-exact dense SIMD kernel. Both
-/// paths share the one policy, which keeps the incremental-equals-full
-/// guarantee bitwise under every setting.
+/// the fan-out cone only — exactly equivalent to a full SSTA rerun, bit
+/// for bit, since every convolution runs the one bit-exact dense kernel.
 #[derive(Debug)]
 pub struct TimedCircuit<'a> {
     netlist: &'a Netlist,
     model: DelayModel<'a>,
     variation: VariationModel,
     dt: f64,
-    kernel_policy: TierPolicy,
     graph: TimingGraph,
     sizes: GateSizes,
     delays: ArcDelays,
@@ -93,9 +86,7 @@ pub struct TimedCircuit<'a> {
 }
 
 impl<'a> TimedCircuit<'a> {
-    /// Builds the timing state at minimum sizes, under the default
-    /// adaptive kernel tier policy ([`TierPolicy::auto`], which honours
-    /// the `STATSIZE_KERNEL_TIER` override).
+    /// Builds the timing state at minimum sizes.
     ///
     /// `dt` is the lattice step (ps) used for all distributions.
     ///
@@ -109,30 +100,16 @@ impl<'a> TimedCircuit<'a> {
         variation: VariationModel,
         dt: f64,
     ) -> Self {
-        Self::with_kernel_policy(netlist, library, variation, dt, TierPolicy::auto())
-    }
-
-    /// [`new`](TimedCircuit::new) under an explicit kernel tier policy
-    /// for arrival propagation. [`TierPolicy::exact`] reproduces the
-    /// historical bit-exact behaviour unconditionally.
-    pub fn with_kernel_policy(
-        netlist: &'a Netlist,
-        library: &'a CellLibrary,
-        variation: VariationModel,
-        dt: f64,
-        kernel_policy: TierPolicy,
-    ) -> Self {
         let model = DelayModel::new(library, netlist);
         let sizes = GateSizes::minimum(netlist);
         let graph = TimingGraph::build(netlist);
         let delays = ArcDelays::compute(netlist, &model, &sizes, &variation, dt);
-        let ssta = SstaAnalysis::run_with_policy(&graph, &delays, kernel_policy);
+        let ssta = SstaAnalysis::run(&graph, &delays);
         Self {
             netlist,
             model,
             variation,
             dt,
-            kernel_policy,
             graph,
             sizes,
             delays,
@@ -143,16 +120,15 @@ impl<'a> TimedCircuit<'a> {
     /// Re-attaches a detached [`TimingState`] to its design inputs,
     /// without re-analysis. The state must have been produced by
     /// [`into_state`](Self::into_state) on a circuit built from the
-    /// *same* netlist, library, variation model, `dt`, and kernel
-    /// policy — the state carries derived data only, so re-attaching it
-    /// to different inputs silently misanalyzes; sessions guarantee the
-    /// pairing by keeping state and design inputs in one place.
+    /// *same* netlist, library, variation model, and `dt` — the state
+    /// carries derived data only, so re-attaching it to different inputs
+    /// silently misanalyzes; sessions guarantee the pairing by keeping
+    /// state and design inputs in one place.
     pub fn from_state(
         netlist: &'a Netlist,
         library: &'a CellLibrary,
         variation: VariationModel,
         dt: f64,
-        kernel_policy: TierPolicy,
         state: TimingState,
     ) -> Self {
         let model = DelayModel::new(library, netlist);
@@ -161,7 +137,6 @@ impl<'a> TimedCircuit<'a> {
             model,
             variation,
             dt,
-            kernel_policy,
             graph: state.graph,
             sizes: state.sizes,
             delays: state.delays,
@@ -178,11 +153,6 @@ impl<'a> TimedCircuit<'a> {
             delays: self.delays,
             ssta: self.ssta,
         }
-    }
-
-    /// The kernel tier policy arrival propagation runs under.
-    pub fn kernel_policy(&self) -> TierPolicy {
-        self.kernel_policy
     }
 
     /// The underlying netlist.
@@ -300,12 +270,8 @@ impl<'a> TimedCircuit<'a> {
             &self.variation,
             affected.iter().copied(),
         );
-        self.ssta.update_after_delay_change_with_policy(
-            &self.graph,
-            &self.delays,
-            &affected,
-            self.kernel_policy,
-        );
+        self.ssta
+            .update_after_delay_change(&self.graph, &self.delays, &affected);
     }
 
     /// [`commit_resize`](Self::commit_resize), additionally capturing
@@ -333,12 +299,9 @@ impl<'a> TimedCircuit<'a> {
             &self.variation,
             affected.iter().copied(),
         );
-        let ssta = self.ssta.update_after_delay_change_with_undo(
-            &self.graph,
-            &self.delays,
-            &affected,
-            self.kernel_policy,
-        );
+        let ssta = self
+            .ssta
+            .update_after_delay_change(&self.graph, &self.delays, &affected);
         ResizeUndo {
             gate,
             prior_width,
@@ -391,7 +354,7 @@ impl<'a> TimedCircuit<'a> {
             &self.variation,
             self.dt,
         );
-        self.ssta = SstaAnalysis::run_with_policy(&self.graph, &self.delays, self.kernel_policy);
+        self.ssta = SstaAnalysis::run(&self.graph, &self.delays);
     }
 }
 
@@ -493,7 +456,7 @@ mod tests {
         let state = c.into_state();
         let state2 = state.clone();
         assert_eq!(state, state2, "clone compares equal");
-        let c2 = TimedCircuit::from_state(&nl, &lib, var, 0.5, TierPolicy::auto(), state);
+        let c2 = TimedCircuit::from_state(&nl, &lib, var, 0.5, state);
         assert_eq!(c2.ssta(), &before_ssta);
         assert_eq!(c2.sizes().width(g), 1.5);
         // The re-attached circuit keeps the incremental-equals-full

@@ -15,7 +15,7 @@ use crate::deadline::{Deadline, DeadlineExceeded};
 use crate::objective::Objective;
 use crate::parallel::{default_threads, normalize_threads, run_workers, WorkQueue};
 use crate::selection::Selection;
-use statsize_dist::{lattice_shift_bound, DistScratch, TierPolicy};
+use statsize_dist::{lattice_shift_bound, DistScratch};
 use statsize_netlist::GateId;
 use statsize_ssta::{ConeWalk, TimingNode};
 use std::collections::HashMap;
@@ -48,7 +48,6 @@ pub struct HeuristicSelector {
     delta_w: f64,
     lookahead: usize,
     threads: usize,
-    kernel_policy: TierPolicy,
     deadline: Deadline,
 }
 
@@ -73,7 +72,6 @@ impl HeuristicSelector {
             delta_w,
             lookahead,
             threads: default_threads(),
-            kernel_policy: TierPolicy::exact(),
             deadline: Deadline::none(),
         }
     }
@@ -112,19 +110,6 @@ impl HeuristicSelector {
     /// candidate count).
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// Sets the kernel tier policy for the lookahead walks (default:
-    /// exact). This selector is already approximate — its score is a
-    /// bound, not the exact sensitivity — so a non-exact policy only
-    /// perturbs scores by the certified FFT dust; the scores remain
-    /// deterministic and bit-identical across thread counts for a fixed
-    /// policy. The *exact* selectors' shift-bound theory is unaffected:
-    /// the pruned sweep always runs the exact tier.
-    #[must_use]
-    pub fn with_kernel_policy(mut self, policy: TierPolicy) -> Self {
-        self.kernel_policy = policy;
-        self
     }
 
     /// One candidate's bounded-lookahead score: the front bound, or the
@@ -216,7 +201,7 @@ impl HeuristicSelector {
             // expiry raises it, the others see it at their next claim.
             let expired = AtomicBool::new(false);
             let local_bests: Vec<Option<Selection>> = run_workers(threads, || {
-                let mut scratch = DistScratch::with_policy(self.kernel_policy);
+                let mut scratch = DistScratch::new();
                 let mut best: Option<Selection> = None;
                 while let Some(idx) = queue.claim() {
                     if expired.load(Ordering::Relaxed) {
@@ -240,7 +225,7 @@ impl HeuristicSelector {
             local_bests.into_iter().flatten().fold(None, fold_best)
         } else {
             // One buffer pool reused across all candidate lookaheads.
-            let mut scratch = DistScratch::with_policy(self.kernel_policy);
+            let mut scratch = DistScratch::new();
             let mut best: Option<Selection> = None;
             for gate in gates {
                 // Cooperative deadline, once per candidate walk.

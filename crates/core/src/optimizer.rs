@@ -8,7 +8,6 @@ use crate::heuristic::HeuristicSelector;
 use crate::objective::Objective;
 use crate::pruned::{PruneStats, PrunedSelector};
 use crate::selection::Selection;
-use statsize_dist::TierPolicy;
 use statsize_netlist::GateId;
 use std::time::{Duration, Instant};
 
@@ -181,7 +180,6 @@ pub struct Optimizer {
     min_sensitivity: f64,
     moves_per_iteration: usize,
     threads: usize,
-    kernel_policy: TierPolicy,
     deadline: Option<Duration>,
     initial_sizes: Option<Vec<f64>>,
 }
@@ -200,7 +198,6 @@ impl Optimizer {
             min_sensitivity: 0.0,
             moves_per_iteration: 1,
             threads: crate::parallel::default_threads(),
-            kernel_policy: TierPolicy::exact(),
             deadline: None,
             initial_sizes: None,
         }
@@ -265,21 +262,6 @@ impl Optimizer {
     /// The configured selector worker-thread count.
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// Sets the kernel tier policy handed to the statistical selectors
-    /// each iteration (default: exact). The brute-force and heuristic
-    /// selectors honour it as given; the pruned selector strips the FFT
-    /// tier from it ([`PrunedSelector::with_kernel_policy`]), because its
-    /// shift-bound pruning theory requires exact lattice propagation —
-    /// so brute-vs-pruned trajectory equality is only guaranteed under
-    /// an exact (or FFT-free) policy. The circuit's own arrival
-    /// propagation carries its own policy
-    /// ([`TimedCircuit::with_kernel_policy`]), set independently.
-    #[must_use]
-    pub fn with_kernel_policy(mut self, policy: TierPolicy) -> Self {
-        self.kernel_policy = policy;
-        self
     }
 
     /// Commits up to `moves` sizing moves per selection round — the
@@ -422,20 +404,17 @@ impl Optimizer {
             )),
             SelectorKind::BruteForce => BruteForceSelector::new(self.delta_w)
                 .with_threads(self.threads)
-                .with_kernel_policy(self.kernel_policy)
                 .with_deadline(deadline)
                 .try_select_top_k(circuit, self.objective, k)
                 .map(|s| (s, None)),
             SelectorKind::Pruned => PrunedSelector::new(self.delta_w)
                 .with_threads(self.threads)
-                .with_kernel_policy(self.kernel_policy)
                 .with_deadline(deadline)
                 .try_select_top_k_with_stats(circuit, self.objective, k)
                 .map(|(s, stats)| (s, Some(stats))),
             SelectorKind::Heuristic { lookahead } => {
                 HeuristicSelector::new(self.delta_w, lookahead)
                     .with_threads(self.threads)
-                    .with_kernel_policy(self.kernel_policy)
                     .with_deadline(deadline)
                     .try_select(circuit, self.objective)
                     .map(|s| (s.into_iter().collect(), None))

@@ -51,7 +51,7 @@ use crate::deadline::{Deadline, DeadlineExceeded};
 use crate::objective::Objective;
 use crate::parallel::{default_threads, normalize_threads, run_workers, SharedMax, WorkQueue};
 use crate::selection::Selection;
-use statsize_dist::{lattice_shift_bound, DistScratch, TierPolicy};
+use statsize_dist::{lattice_shift_bound, DistScratch};
 use statsize_netlist::GateId;
 use statsize_ssta::{ConeWalk, SstaAnalysis, StepReport, TimingNode};
 use std::cmp::Ordering;
@@ -111,7 +111,6 @@ impl PruneStats {
 pub struct PrunedSelector {
     delta_w: f64,
     threads: usize,
-    kernel_policy: TierPolicy,
     deadline: Deadline,
 }
 
@@ -221,7 +220,6 @@ impl PrunedSelector {
         Self {
             delta_w,
             threads: default_threads(),
-            kernel_policy: TierPolicy::exact(),
             deadline: Deadline::none(),
         }
     }
@@ -259,21 +257,6 @@ impl PrunedSelector {
     /// candidate count).
     pub fn threads(&self) -> usize {
         self.threads
-    }
-
-    /// Sets the kernel tier policy for the sweep's front propagation —
-    /// **with the FFT tier stripped**. The pruning guarantee rests on the
-    /// whole-bin shift bound being preserved *exactly* by every lattice
-    /// operation (Theorems 1–3); an approximate convolution, however
-    /// tightly certified, voids that invariant, so this call site is
-    /// exact-tier-only by construction: [`TierPolicy::without_fft`] is
-    /// applied to whatever the caller passes. Dense SIMD tiers remain in
-    /// effect — they are bit-identical to the scalar reference kernel,
-    /// which is exactly what the theory requires.
-    #[must_use]
-    pub fn with_kernel_policy(mut self, policy: TierPolicy) -> Self {
-        self.kernel_policy = policy.without_fft();
-        self
     }
 
     /// Finds the most sensitive gate — identical to brute force — or
@@ -437,9 +420,8 @@ impl PrunedSelector {
 
         // One buffer pool shared by every candidate front in this sweep:
         // distributions retired by any front immediately serve the next
-        // propagation step, wherever it happens. The pool carries the
-        // selector's (FFT-stripped) kernel tier policy.
-        let mut scratch = DistScratch::with_policy(self.kernel_policy);
+        // propagation step, wherever it happens.
+        let mut scratch = DistScratch::new();
 
         // --- Initialize every candidate (Figure 7). ---
         let mut candidates: Vec<Option<Candidate<'_>>> = Vec::new();
@@ -573,7 +555,7 @@ impl PrunedSelector {
         let expired = AtomicBool::new(false);
 
         let worker_stats: Vec<PruneStats> = run_workers(threads, || {
-            let mut scratch = DistScratch::with_policy(self.kernel_policy);
+            let mut scratch = DistScratch::new();
             let mut local = PruneStats::default();
 
             // --- Phase 1: initialize every front (Figure 7), workers

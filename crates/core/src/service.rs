@@ -12,8 +12,8 @@
 //! re-analysis. This module adds the session layer:
 //!
 //! * [`Design`] — the immutable inputs (netlist, cell library, variation
-//!   model, lattice step, kernel policy), shared by every session over
-//!   it through an [`Arc`].
+//!   model, lattice step), shared by every session over it through an
+//!   [`Arc`].
 //! * [`Session`] — one user's mutable sizing state: a detached
 //!   [`TimingState`] re-attached per query, a commit log, and named
 //!   snapshots. [`what_if`](Session::what_if) commits speculatively and
@@ -61,7 +61,6 @@ use crate::failpoint;
 use crate::optimizer::{Optimizer, OptimizerStep, StopReason};
 use crate::parallel;
 use statsize_cells::{CellLibrary, DelayModel, VariationModel};
-use statsize_dist::TierPolicy;
 use statsize_netlist::{GateId, Netlist};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -69,17 +68,15 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// The immutable inputs a session analyzes against: a netlist bound to a
-/// cell library, with the variation model, lattice step, and kernel tier
-/// policy fixed at load time. Shared by every session over the design
-/// (and every fork) through an [`Arc`] — loading is once per design, not
-/// once per session.
+/// cell library, with the variation model and lattice step fixed at load
+/// time. Shared by every session over the design (and every fork)
+/// through an [`Arc`] — loading is once per design, not once per
+/// session.
 ///
-/// The default kernel policy is [`TierPolicy::exact`], not the batch
-/// optimizer's adaptive default: serve-mode replies are contractually
-/// bit-identical to a from-scratch [`SstaAnalysis::run`](statsize_ssta::SstaAnalysis::run)
-/// on the mutated circuit, and `run` is defined on the exact tier. Opt
-/// into [`TierPolicy::auto`] per design if FFT-tier throughput matters
-/// more than that cross-check.
+/// Sessions analyze on the same bit-exact kernel as batch runs, so
+/// serve-mode replies are bit-identical to a from-scratch
+/// [`SstaAnalysis::run`](statsize_ssta::SstaAnalysis::run) on the
+/// mutated circuit.
 #[derive(Debug)]
 pub struct Design {
     name: String,
@@ -87,12 +84,11 @@ pub struct Design {
     library: CellLibrary,
     variation: VariationModel,
     dt: f64,
-    kernel_policy: TierPolicy,
 }
 
 impl Design {
-    /// Binds a netlist to a library under the paper's variation model, a
-    /// 2 ps lattice, and the exact kernel tier.
+    /// Binds a netlist to a library under the paper's variation model and
+    /// a 2 ps lattice.
     pub fn new(name: impl Into<String>, netlist: Netlist, library: CellLibrary) -> Self {
         Self {
             name: name.into(),
@@ -100,7 +96,6 @@ impl Design {
             library,
             variation: VariationModel::paper_default(),
             dt: 2.0,
-            kernel_policy: TierPolicy::exact(),
         }
     }
 
@@ -120,14 +115,6 @@ impl Design {
     pub fn with_dt(mut self, dt: f64) -> Self {
         assert!(dt.is_finite() && dt > 0.0, "dt must be positive, got {dt}");
         self.dt = dt;
-        self
-    }
-
-    /// Sets the kernel tier policy for arrival propagation (see the type
-    /// docs for why the default is exact).
-    #[must_use]
-    pub fn with_kernel_policy(mut self, policy: TierPolicy) -> Self {
-        self.kernel_policy = policy;
         self
     }
 
@@ -154,11 +141,6 @@ impl Design {
     /// The lattice step (ps).
     pub fn dt(&self) -> f64 {
         self.dt
-    }
-
-    /// The kernel tier policy sessions analyze under.
-    pub fn kernel_policy(&self) -> TierPolicy {
-        self.kernel_policy
     }
 
     /// Resolves a gate by the name of the net it drives — the protocol's
@@ -382,12 +364,11 @@ impl Session {
     /// selection configuration for [`step`](Self::step).
     pub fn open(design: Arc<Design>, optimizer: Optimizer) -> Self {
         let state = {
-            let circuit = TimedCircuit::with_kernel_policy(
+            let circuit = TimedCircuit::new(
                 &design.netlist,
                 &design.library,
                 design.variation,
                 design.dt,
-                design.kernel_policy,
             );
             circuit.into_state()
         };
@@ -442,7 +423,6 @@ impl Session {
             &design.library,
             design.variation,
             design.dt,
-            design.kernel_policy,
             state,
         );
         let out = f(&mut circuit);
@@ -1432,12 +1412,11 @@ mod tests {
             assert!(rounds < 100, "descent did not terminate");
         };
 
-        let mut circuit = TimedCircuit::with_kernel_policy(
+        let mut circuit = TimedCircuit::new(
             design.netlist(),
             design.library(),
             design.variation,
             design.dt,
-            design.kernel_policy,
         );
         let result = opt.run(&mut circuit);
         assert_eq!(stop, result.stop);

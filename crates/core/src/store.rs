@@ -85,7 +85,7 @@ pub struct ScenarioKey {
     pub objective: String,
     /// The remaining optimizer configuration as one stable string:
     /// selector wire name, `Δw`, iteration budget, sensitivity floor,
-    /// kernel policy, deadline, fallback (see
+    /// deadline, fallback (see
     /// [`Campaign::scenario_key`](crate::Campaign::scenario_key)).
     pub optimizer: String,
     /// The corpus RNG seed

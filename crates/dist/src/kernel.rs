@@ -20,7 +20,7 @@
 //! Backend selection is a one-time runtime decision
 //! ([`KernelBackend::active`]): the best instruction set the CPU
 //! reports, overridable by the `STATSIZE_KERNEL_TIER` environment
-//! variable (see [`crate::TierPolicy`]).
+//! variable.
 
 // SIMD intrinsics require `unsafe`; the workspace denies unsafe code
 // everywhere else. Every unsafe block here is a feature-gated intrinsic
@@ -29,7 +29,59 @@
 
 use std::sync::OnceLock;
 
-use crate::tier::{env_tier, EnvTier};
+/// Environment variable pinning the kernel backend process-wide:
+/// `scalar` | `sse2` | `simd`. Read once, at the first kernel dispatch.
+const KERNEL_TIER_ENV: &str = "STATSIZE_KERNEL_TIER";
+
+/// A parsed `STATSIZE_KERNEL_TIER` setting.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum KernelTier {
+    /// Pin the portable scalar backend.
+    Scalar,
+    /// Pin SSE2 (scalar where unavailable).
+    Sse2,
+    /// The best backend the CPU reports — the same as no setting.
+    Simd,
+}
+
+/// Parses a `STATSIZE_KERNEL_TIER` value (case- and
+/// whitespace-insensitive). `None` for an empty or unrecognized value.
+fn parse_kernel_tier(raw: &str) -> Option<KernelTier> {
+    match raw.trim().to_ascii_lowercase().as_str() {
+        "scalar" => Some(KernelTier::Scalar),
+        "sse2" => Some(KernelTier::Sse2),
+        "simd" | "avx2" | "neon" => Some(KernelTier::Simd),
+        _ => None,
+    }
+}
+
+/// The process's `STATSIZE_KERNEL_TIER` setting; warns once on stderr
+/// about a value that is set but unrecognized.
+fn env_kernel_tier() -> Option<KernelTier> {
+    let raw = std::env::var(KERNEL_TIER_ENV).ok()?;
+    let tier = parse_kernel_tier(&raw);
+    if tier.is_none() && !raw.trim().is_empty() {
+        eprintln!(
+            "warning: unrecognized {KERNEL_TIER_ENV}={:?} \
+             (expected scalar|sse2|simd); using runtime dispatch",
+            raw.trim().to_ascii_lowercase()
+        );
+    }
+    tier
+}
+
+/// A kernel policy that carries no choice: every convolution takes the
+/// one bit-exact dense kernel. It survives only as the ignored argument
+/// of `SstaAnalysis::update_after_delay_change_with_undo`.
+#[derive(Debug, Clone, Copy)]
+pub struct TierPolicy;
+
+impl TierPolicy {
+    /// The only policy: the bit-exact dense kernel.
+    pub fn exact() -> Self {
+        TierPolicy
+    }
+}
 
 /// A dense convolution backend: one fixed instruction-set lowering of
 /// the blocked 4-tap kernel. All backends are bit-identical; they differ
@@ -93,15 +145,15 @@ impl KernelBackend {
     }
 
     /// The backend every dense convolution in this process dispatches
-    /// to: the detected best, unless `STATSIZE_KERNEL_TIER` pins a dense
-    /// tier (`scalar`, `sse2`). Decided once and cached — the dispatch
+    /// to: the detected best, unless `STATSIZE_KERNEL_TIER` pins a
+    /// backend (`scalar`, `sse2`). Decided once and cached — the dispatch
     /// itself costs one enum match per tap block.
     pub fn active() -> Self {
         static ACTIVE: OnceLock<KernelBackend> = OnceLock::new();
-        *ACTIVE.get_or_init(|| match env_tier() {
-            Some(EnvTier::Scalar) => KernelBackend::Scalar,
-            Some(EnvTier::Sse2) if KernelBackend::Sse2.is_available() => KernelBackend::Sse2,
-            Some(EnvTier::Sse2) => KernelBackend::Scalar,
+        *ACTIVE.get_or_init(|| match env_kernel_tier() {
+            Some(KernelTier::Scalar) => KernelBackend::Scalar,
+            Some(KernelTier::Sse2) if KernelBackend::Sse2.is_available() => KernelBackend::Sse2,
+            Some(KernelTier::Sse2) => KernelBackend::Scalar,
             _ => KernelBackend::detected(),
         })
     }
@@ -449,6 +501,18 @@ mod tests {
                     "{backend:?} ({na}, {nb}) total"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn kernel_tier_values_parse() {
+        assert_eq!(parse_kernel_tier("scalar"), Some(KernelTier::Scalar));
+        assert_eq!(parse_kernel_tier(" SSE2\n"), Some(KernelTier::Sse2));
+        for simd in ["simd", "avx2", "neon"] {
+            assert_eq!(parse_kernel_tier(simd), Some(KernelTier::Simd));
+        }
+        for unknown in ["", "  ", "dense", "scalar2", "gpu"] {
+            assert_eq!(parse_kernel_tier(unknown), None, "{unknown:?}");
         }
     }
 

@@ -350,7 +350,7 @@ impl Dist {
     pub fn convolve_into(&self, other: &Dist, scratch: &mut DistScratch) -> Dist {
         self.assert_same_lattice(other);
         let mut out = scratch.take();
-        let total = convolve_tiered(&self.mass, &other.mass, &mut out, scratch);
+        let total = kernel::convolve_raw(&self.mass, &other.mass, &mut out);
         Dist::from_raw_summed(self.dt, self.offset + other.offset, out, total)
     }
 
@@ -372,22 +372,6 @@ impl Dist {
         self.assert_same_lattice(other);
         let mut out = scratch.take();
         let total = kernel::convolve_with_backend(backend, &self.mass, &other.mass, &mut out);
-        Dist::from_raw_summed(self.dt, self.offset + other.offset, out, total)
-    }
-
-    /// [`convolve`](Dist::convolve) forced through the certified FFT
-    /// tier regardless of the scratch policy — the test/bench surface
-    /// for the wide tier. Each output bin is within
-    /// [`certified_fft_error_bound`](crate::certified_fft_error_bound)
-    /// of the exact convolution (before the shared renormalization).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lattice steps differ.
-    pub fn convolve_fft_into(&self, other: &Dist, scratch: &mut DistScratch) -> Dist {
-        self.assert_same_lattice(other);
-        let mut out = scratch.take();
-        let total = crate::fft::fft_convolve(&self.mass, &other.mass, &mut out, scratch);
         Dist::from_raw_summed(self.dt, self.offset + other.offset, out, total)
     }
 
@@ -439,7 +423,7 @@ impl Dist {
         self.assert_same_lattice(upstream);
         upstream.assert_same_lattice(delay);
         let mut conv = scratch.take();
-        let conv_total = convolve_tiered(&upstream.mass, &delay.mass, &mut conv, scratch);
+        let conv_total = kernel::convolve_raw(&upstream.mass, &delay.mass, &mut conv);
         let conv_off = normalize_raw_summed(&mut conv, upstream.offset + delay.offset, conv_total);
         let mut out = scratch.take();
         let (lo, total) = max_raw(self.offset, &self.mass, conv_off, &conv, &mut out);
@@ -509,7 +493,7 @@ impl Dist {
         let mut reflected = scratch.take();
         reflected.extend(other.mass.iter().rev());
         let mut out = scratch.take();
-        let total = convolve_tiered(&self.mass, &reflected, &mut out, scratch);
+        let total = kernel::convolve_raw(&self.mass, &reflected, &mut out);
         scratch.put(reflected);
         let offset = self.offset - (other.offset + other.mass.len() as i64 - 1);
         Dist::from_raw_summed(self.dt, offset, out, total)
@@ -592,21 +576,6 @@ fn trim_bounds(mass: &[f64]) -> (usize, usize) {
         hi -= 1;
     }
     (lo, hi)
-}
-
-/// Tiered raw convolution into `out` (cleared first): routes through
-/// the certified FFT tier when the scratch pool's [`TierPolicy`]
-/// (crate::TierPolicy) elects it for these operand widths, and through
-/// the runtime-dispatched dense kernel — bit-identical to the scalar
-/// tap-order reference — otherwise. Either way the return value is the
-/// left-fold total `Σ out[k]` in index order, the contract
-/// [`normalize_raw_summed`] relies on.
-fn convolve_tiered(a: &[f64], b: &[f64], out: &mut Vec<f64>, scratch: &mut DistScratch) -> f64 {
-    if scratch.policy().uses_fft_for(a.len(), b.len()) {
-        crate::fft::fft_convolve(a, b, out, scratch)
-    } else {
-        kernel::convolve_raw(a, b, out)
-    }
 }
 
 /// Raw independent max into `out` (cleared first): the step-CDF product

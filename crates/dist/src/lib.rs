@@ -24,14 +24,12 @@
 //! [`DistScratch`] pool and produces bit-identical results — the form the
 //! SSTA hot path uses.
 //!
-//! Convolution itself is a **tiered engine**: a runtime-dispatched dense
-//! SIMD kernel ([`KernelBackend`]) that is bit-identical to the scalar
-//! tap-order reference on every backend, plus a certified-error FFT tier
-//! ([`fft_convolve`]) for wide mass vectors that call sites opt into via
-//! a [`TierPolicy`] carried on their [`DistScratch`]. The shift-bound
-//! measures above are exact-only and never route through FFT; see the
-//! [`tier`-module docs](TierPolicy) and the `STATSIZE_KERNEL_TIER`
-//! override ([`KERNEL_TIER_ENV`]).
+//! Every convolution runs one dense kernel, runtime-dispatched to the
+//! widest SIMD backend the CPU offers ([`KernelBackend`]) and
+//! bit-identical to the scalar tap-order reference on every backend, so
+//! the shift bounds above hold exactly on every path. The
+//! `STATSIZE_KERNEL_TIER` environment variable pins a backend
+//! (`scalar`, `sse2` or `simd`).
 //!
 //! # Example
 //!
@@ -58,22 +56,15 @@
 #![warn(missing_debug_implementations)]
 
 mod empirical;
-mod fft;
 mod gaussian;
 mod kernel;
 mod lattice;
 mod scratch;
 mod shift;
-mod tier;
 
 pub use empirical::{Empirical, EmpiricalError};
-pub use fft::{certified_fft_error_bound, fft_convolutions, fft_convolve};
 pub use gaussian::{GaussianError, TruncatedGaussian};
-pub use kernel::{convolve_with_backend, KernelBackend};
+pub use kernel::{convolve_with_backend, KernelBackend, TierPolicy};
 pub use lattice::{Dist, DistError};
 pub use scratch::DistScratch;
 pub use shift::{lattice_shift_bound, max_percentile_shift, percentile_shift_at};
-pub use tier::{
-    TierPolicy, DEFAULT_FFT_CROSSOVER, DEFAULT_FFT_MIN_SHORT, DEFAULT_FFT_TOLERANCE,
-    KERNEL_TIER_ENV,
-};

@@ -13,16 +13,8 @@
 //! Pooling never changes numerical results: buffers are fully overwritten
 //! before use, so every `_into` variant remains bit-identical to its
 //! allocating counterpart.
-//!
-//! The pool also carries the call site's kernel [`TierPolicy`]: the
-//! scratch is the one value every `_into` operator already threads
-//! through a sweep, so it doubles as the tier-policy carrier without new
-//! plumbing. [`DistScratch::new`] keeps the exact (bit-identical) tier;
-//! call sites that may take the certified FFT tier opt in with
-//! [`DistScratch::with_policy`].
 
 use crate::lattice::Dist;
-use crate::tier::TierPolicy;
 
 /// Upper bound on idle buffers retained by a pool. Steady-state demand is
 /// the perturbation-front width (tens of nodes); beyond the cap, recycled
@@ -40,33 +32,12 @@ const POOL_CAP: usize = 64;
 #[derive(Debug, Default)]
 pub struct DistScratch {
     pool: Vec<Vec<f64>>,
-    policy: TierPolicy,
 }
 
 impl DistScratch {
-    /// An empty pool on the exact kernel tier (every operation
-    /// bit-identical to the scalar reference kernel).
+    /// An empty pool.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// An empty pool whose convolutions follow `policy`
-    /// (see [`TierPolicy`]).
-    pub fn with_policy(policy: TierPolicy) -> Self {
-        Self {
-            pool: Vec::new(),
-            policy,
-        }
-    }
-
-    /// The kernel tier policy governing operations through this pool.
-    pub fn policy(&self) -> TierPolicy {
-        self.policy
-    }
-
-    /// Replaces the kernel tier policy.
-    pub fn set_policy(&mut self, policy: TierPolicy) {
-        self.policy = policy;
     }
 
     /// Reclaims a dead distribution's mass buffer for reuse.
@@ -75,7 +46,6 @@ impl DistScratch {
     }
 
     /// Moves another pool's idle buffers into this one (up to the cap).
-    /// Only buffers move: the absorbing pool keeps its own tier policy.
     pub fn absorb(&mut self, other: DistScratch) {
         for buf in other.pool {
             self.put(buf);

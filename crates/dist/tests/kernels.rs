@@ -1,18 +1,10 @@
-//! Cross-tier contracts of the convolution engine:
-//!
-//! * every SIMD dense backend is **bit-identical** to the scalar
-//!   tap-order kernel, across widths straddling every block/lane
-//!   boundary (property-tested and sweep-tested);
-//! * the FFT tier honours its certified per-bin error bound against the
-//!   exact kernel, on random and adversarial (spiky, denormal-adjacent)
-//!   mass vectors;
-//! * the tier policy routes exactly the convolutions it promises to.
+//! The convolution kernel's one contract: every SIMD backend is
+//! **bit-identical** to the scalar tap-order kernel, across widths
+//! straddling every block/lane boundary (property-tested and
+//! sweep-tested), both on raw mass vectors and through `Dist`.
 
 use proptest::prelude::*;
-use statsize_dist::{
-    certified_fft_error_bound, convolve_with_backend, fft_convolutions, fft_convolve, Dist,
-    DistScratch, KernelBackend, TierPolicy,
-};
+use statsize_dist::{convolve_with_backend, Dist, DistScratch, KernelBackend};
 
 /// Deterministic irregular mass vector with interior zeros: an LCG over
 /// the bin index, salted per vector.
@@ -144,131 +136,5 @@ proptest! {
                 prop_assert_eq!(g.to_bits(), w.to_bits(), "{:?} bin {}", backend, i);
             }
         }
-    }
-}
-
-/// Max per-bin deviation of the FFT tier from the exact scalar kernel.
-fn fft_vs_exact(a: &[f64], b: &[f64]) -> (f64, f64) {
-    let mut scratch = DistScratch::new();
-    let mut exact = Vec::new();
-    convolve_with_backend(KernelBackend::Scalar, a, b, &mut exact);
-    let mut got = Vec::new();
-    fft_convolve(a, b, &mut got, &mut scratch);
-    assert_eq!(got.len(), exact.len());
-    let worst = got
-        .iter()
-        .zip(&exact)
-        .map(|(g, e)| (g - e).abs())
-        .fold(0.0f64, f64::max);
-    let sa: f64 = a.iter().sum();
-    let sb: f64 = b.iter().sum();
-    (worst, certified_fft_error_bound(exact.len(), sa, sb))
-}
-
-/// The certified bound holds on random mass vectors across the width
-/// range the tier targets, including non-power-of-two paddings.
-#[test]
-fn fft_certified_bound_holds_on_random_masses() {
-    for (na, nb, salt) in [
-        (512usize, 512usize, 5u64),
-        (700, 1300, 17),
-        (2048, 2048, 29),
-        (2047, 2050, 43),
-        (4096, 4096, 57),
-        (61, 8192, 71),
-        (3000, 5000, 83),
-    ] {
-        let a = prob_mass(na, salt);
-        let b = prob_mass(nb, salt + 1);
-        let (worst, bound) = fft_vs_exact(&a, &b);
-        assert!(
-            worst <= bound,
-            "({na}, {nb}): observed {worst:e} > certified {bound:e}"
-        );
-    }
-}
-
-/// Adversarial masses: a spike carrying almost all probability next to
-/// dust bins, and denormal-adjacent magnitudes mixed with O(1) bins.
-/// The absolute certificate must still dominate.
-#[test]
-fn fft_certified_bound_holds_on_adversarial_masses() {
-    // Spiky: one bin at ~1, the rest sharing 1e-9.
-    let spiky = |n: usize, at: usize| -> Vec<f64> {
-        let mut m = vec![1e-9 / (n - 1) as f64; n];
-        m[at] = 1.0 - 1e-9;
-        m
-    };
-    // Denormal-adjacent: alternating O(1) and ~1e-300 bins, normalized.
-    let denormal = |n: usize, salt: u64| -> Vec<f64> {
-        let mut m: Vec<f64> = (0..n)
-            .map(|i| {
-                if (i as u64 + salt).is_multiple_of(3) {
-                    1e-300
-                } else {
-                    1.0 / n as f64
-                }
-            })
-            .collect();
-        let total: f64 = m.iter().sum();
-        for v in &mut m {
-            *v /= total;
-        }
-        m
-    };
-    let cases: Vec<(Vec<f64>, Vec<f64>)> = vec![
-        (spiky(2048, 0), spiky(2048, 2047)),
-        (spiky(4096, 2000), prob_mass(4096, 7)),
-        (denormal(2048, 0), denormal(3000, 1)),
-        (denormal(4096, 2), spiky(4096, 1)),
-    ];
-    for (i, (a, b)) in cases.iter().enumerate() {
-        let (worst, bound) = fft_vs_exact(a, b);
-        assert!(
-            worst <= bound,
-            "adversarial case {i}: observed {worst:e} > certified {bound:e}"
-        );
-    }
-}
-
-/// The `Dist`-level FFT path agrees with the exact path to well within
-/// the default tier tolerance after the shared normalization, and the
-/// FFT-call counter observes exactly the routed convolutions.
-#[test]
-fn tiered_convolve_routes_and_certifies_at_the_dist_level() {
-    let a = Dist::new(1.0, 0, prob_mass(3000, 5)).unwrap();
-    let b = Dist::new(1.0, 50, prob_mass(2500, 9)).unwrap();
-    let exact = a.convolve(&b);
-
-    // A scratch on the exact policy never routes through FFT.
-    let before = fft_convolutions();
-    let mut scratch = DistScratch::new();
-    let dense = a.convolve_into(&b, &mut scratch);
-    assert_eq!(fft_convolutions(), before);
-    assert_eq!(dense, exact);
-
-    // Explicitly forcing the wide tier routes through FFT and stays
-    // within the certificate (loosened by the ~1 renormalization).
-    let before = fft_convolutions();
-    let fft = a.convolve_fft_into(&b, &mut scratch);
-    assert_eq!(fft_convolutions(), before + 1);
-    assert_eq!(exact.offset(), fft.offset());
-    assert_eq!(exact.support_len(), fft.support_len());
-    let bound = 2.0 * certified_fft_error_bound(exact.support_len(), 1.0, 1.0);
-    for (i, (e, g)) in exact.mass().iter().zip(fft.mass()).enumerate() {
-        assert!((e - g).abs() <= bound, "bin {i}: |{e} − {g}| > {bound}");
-    }
-
-    // The adaptive policy elects FFT on its own for wide × wide widths
-    // past the crossover (policy built without consulting the
-    // environment is covered in unit tests; here exercise the plumbing
-    // through a policy that is FFT-capable regardless of env).
-    let policy = TierPolicy::force_fft();
-    if !policy.is_exact() {
-        let mut wide_scratch = DistScratch::with_policy(policy);
-        let before = fft_convolutions();
-        let via_policy = a.convolve_into(&b, &mut wide_scratch);
-        assert_eq!(fft_convolutions(), before + 1);
-        assert_eq!(via_policy, fft);
     }
 }

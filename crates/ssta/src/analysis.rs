@@ -23,24 +23,8 @@ pub struct SstaAnalysis {
 }
 
 impl SstaAnalysis {
-    /// Runs a full SSTA pass over the circuit on the exact kernel tier
-    /// (bit-identical to the scalar reference kernel regardless of the
-    /// environment).
+    /// Runs a full SSTA pass over the circuit.
     pub fn run(graph: &TimingGraph, delays: &ArcDelays) -> Self {
-        Self::run_with_policy(graph, delays, statsize_dist::TierPolicy::exact())
-    }
-
-    /// [`run`](SstaAnalysis::run) under an explicit kernel tier policy:
-    /// arrival propagation is a percentile/moment consumer, so callers
-    /// (e.g. the optimizer's timed circuit) may allow the certified FFT
-    /// tier for wide arrivals. The pass is deterministic for a fixed
-    /// policy — incremental updates under the *same* policy reproduce it
-    /// bit for bit.
-    pub fn run_with_policy(
-        graph: &TimingGraph,
-        delays: &ArcDelays,
-        policy: statsize_dist::TierPolicy,
-    ) -> Self {
         let dt = delays.dt();
         let source_arrival = Dist::point(dt, 0.0);
         let mut arrivals: Vec<Option<Dist>> = vec![None; graph.node_count()];
@@ -48,9 +32,8 @@ impl SstaAnalysis {
 
         let no_overrides = DelayOverrides::none();
         // One buffer pool for the whole pass: every node's intermediate
-        // fan-in accumulators recycle through it, and it carries the
-        // kernel tier policy.
-        let mut scratch = statsize_dist::DistScratch::with_policy(policy);
+        // fan-in accumulators recycle through it.
+        let mut scratch = statsize_dist::DistScratch::new();
         for level in 1..=graph.sink_level() {
             for &node in graph.nodes_at_level(level) {
                 let arrival = crate::propagate::node_arrival(
@@ -104,56 +87,25 @@ impl SstaAnalysis {
     /// after their entries in `delays` were refreshed (e.g. following a
     /// sizing commit). Exactly equivalent to re-running
     /// [`SstaAnalysis::run`], but touches only the affected cone.
-    pub fn update_after_delay_change(
-        &mut self,
-        graph: &TimingGraph,
-        delays: &ArcDelays,
-        changed_gates: &[GateId],
-    ) {
-        self.update_after_delay_change_with_policy(
-            graph,
-            delays,
-            changed_gates,
-            statsize_dist::TierPolicy::exact(),
-        );
-    }
-
-    /// [`update_after_delay_change`](SstaAnalysis::update_after_delay_change)
-    /// under an explicit kernel tier policy. To keep an incrementally
-    /// maintained analysis bit-identical to a from-scratch
-    /// [`run_with_policy`](SstaAnalysis::run_with_policy), pass the same
-    /// policy the analysis was built with.
-    pub fn update_after_delay_change_with_policy(
-        &mut self,
-        graph: &TimingGraph,
-        delays: &ArcDelays,
-        changed_gates: &[GateId],
-        policy: statsize_dist::TierPolicy,
-    ) {
-        let _ = self.update_after_delay_change_with_undo(graph, delays, changed_gates, policy);
-    }
-
-    /// [`update_after_delay_change_with_policy`](Self::update_after_delay_change_with_policy),
-    /// additionally returning the arrival distributions the update
-    /// overwrote. Handing the returned [`SstaUndo`] to
+    ///
+    /// Returns the arrival distributions the update overwrote; callers
+    /// that never revert simply drop it. Handing the [`SstaUndo`] to
     /// [`apply_undo`](Self::apply_undo) restores the analysis to its
     /// pre-update state **bit-for-bit** — the overwritten `Dist`s are
     /// moved out and moved back, never recomputed — which is what makes
     /// speculative what-if queries exact without cloning the whole
     /// analysis.
-    pub fn update_after_delay_change_with_undo(
+    pub fn update_after_delay_change(
         &mut self,
         graph: &TimingGraph,
         delays: &ArcDelays,
         changed_gates: &[GateId],
-        policy: statsize_dist::TierPolicy,
     ) -> SstaUndo {
         let seeds: Vec<TimingNode> = changed_gates
             .iter()
             .map(|&g| graph.out_node_of_gate(g))
             .collect();
-        let mut walk = ConeWalk::with_seeds(graph, delays, self, DelayOverrides::none(), &seeds)
-            .with_kernel_policy(policy);
+        let mut walk = ConeWalk::with_seeds(graph, delays, self, DelayOverrides::none(), &seeds);
         walk.run_to_sink();
         let mut prior = Vec::new();
         for (node, dist) in walk.into_perturbed() {
@@ -163,6 +115,19 @@ impl SstaAnalysis {
             ));
         }
         SstaUndo { prior }
+    }
+
+    /// [`update_after_delay_change`](Self::update_after_delay_change)
+    /// with a `policy` argument that carries no choice (see
+    /// [`statsize_dist::TierPolicy`]) and is ignored.
+    pub fn update_after_delay_change_with_undo(
+        &mut self,
+        graph: &TimingGraph,
+        delays: &ArcDelays,
+        changed_gates: &[GateId],
+        _policy: statsize_dist::TierPolicy,
+    ) -> SstaUndo {
+        self.update_after_delay_change(graph, delays, changed_gates)
     }
 
     /// Reverts one incremental update by moving the captured prior
@@ -179,7 +144,7 @@ impl SstaAnalysis {
 
 /// The inverse record of one incremental SSTA update: the overwritten
 /// arrival distributions, keyed by node. Produced by
-/// [`SstaAnalysis::update_after_delay_change_with_undo`] and consumed by
+/// [`SstaAnalysis::update_after_delay_change`] and consumed by
 /// [`SstaAnalysis::apply_undo`].
 #[derive(Debug, Clone)]
 pub struct SstaUndo {
@@ -319,12 +284,7 @@ mod tests {
             .collect();
         sizes.resize(g16, 1.0);
         delays.update_gates(&nl, &model, &sizes, &var, affected.iter().copied());
-        let undo = ssta.update_after_delay_change_with_undo(
-            &graph,
-            &delays,
-            &affected,
-            statsize_dist::TierPolicy::exact(),
-        );
+        let undo = ssta.update_after_delay_change(&graph, &delays, &affected);
         assert!(undo.perturbed_nodes() > 0);
         assert_ne!(ssta, pristine, "the update must actually change arrivals");
 

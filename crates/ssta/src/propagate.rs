@@ -257,19 +257,6 @@ impl<'a> ConeWalk<'a> {
         self
     }
 
-    /// Sets the kernel tier policy of the walk's *internal* scratch pool
-    /// (the one [`step_level`](ConeWalk::step_level) and
-    /// [`run_to_sink`](ConeWalk::run_to_sink) use). Callers driving the
-    /// walk through [`step_level_with`](ConeWalk::step_level_with) carry
-    /// the policy on their external pool instead; the perturbation-front
-    /// sweeps of the pruned selector keep the exact tier there — see
-    /// [`statsize_dist::TierPolicy`].
-    #[must_use]
-    pub fn with_kernel_policy(mut self, policy: statsize_dist::TierPolicy) -> Self {
-        self.scratch.set_policy(policy);
-        self
-    }
-
     fn schedule(&mut self, node: TimingNode) {
         if self.scheduled.insert(node) {
             self.pending
