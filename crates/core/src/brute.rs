@@ -158,7 +158,9 @@ impl BruteForceSelector {
     }
 
     /// One gate's exact sensitivity: full perturbation propagation to the
-    /// sink.
+    /// sink. Deliberately without the pruned sweep's edge-convolution
+    /// memo: brute force is the reference the memoized sweeps are
+    /// checked against.
     fn one_sensitivity(
         &self,
         circuit: &TimedCircuit<'_>,

@@ -17,7 +17,7 @@ use crate::parallel::{default_threads, normalize_threads, run_workers, WorkQueue
 use crate::selection::Selection;
 use statsize_dist::{lattice_shift_bound, DistScratch};
 use statsize_netlist::GateId;
-use statsize_ssta::{ConeWalk, TimingNode};
+use statsize_ssta::{ConeWalk, EdgeConvMemo, TimingNode};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 
@@ -122,6 +122,7 @@ impl HeuristicSelector {
         base_cost: f64,
         gate: GateId,
         scratch: &mut DistScratch,
+        memo: &mut EdgeConvMemo<'_>,
     ) -> Selection {
         let base = circuit.ssta();
         let overrides = circuit.overrides_for_resize(gate, self.delta_w);
@@ -142,7 +143,7 @@ impl HeuristicSelector {
                 budget -= 1;
             }
             let report = walk
-                .step_level_with(scratch)
+                .step_level_memoized(scratch, memo)
                 .expect("level observed pending");
             for &node in &report.computed {
                 if node == TimingNode::SINK {
@@ -201,7 +202,10 @@ impl HeuristicSelector {
             // expiry raises it, the others see it at their next claim.
             let expired = AtomicBool::new(false);
             let local_bests: Vec<Option<Selection>> = run_workers(threads, || {
+                // Each worker keeps its own buffer pool and side-edge
+                // convolution memo.
                 let mut scratch = DistScratch::new();
+                let mut memo = EdgeConvMemo::new(circuit.ssta(), circuit.delays());
                 let mut best: Option<Selection> = None;
                 while let Some(idx) = queue.claim() {
                     if expired.load(Ordering::Relaxed) {
@@ -211,7 +215,14 @@ impl HeuristicSelector {
                         expired.store(true, Ordering::Relaxed);
                         break;
                     }
-                    let cand = self.score(circuit, objective, base_cost, gates[idx], &mut scratch);
+                    let cand = self.score(
+                        circuit,
+                        objective,
+                        base_cost,
+                        gates[idx],
+                        &mut scratch,
+                        &mut memo,
+                    );
                     best = fold_best(best, cand);
                 }
                 best
@@ -224,13 +235,15 @@ impl HeuristicSelector {
             // of which worker scored which candidate.
             local_bests.into_iter().flatten().fold(None, fold_best)
         } else {
-            // One buffer pool reused across all candidate lookaheads.
+            // One buffer pool and one side-edge convolution memo reused
+            // across all candidate lookaheads: every walk shares the base.
             let mut scratch = DistScratch::new();
+            let mut memo = EdgeConvMemo::new(circuit.ssta(), circuit.delays());
             let mut best: Option<Selection> = None;
             for gate in gates {
                 // Cooperative deadline, once per candidate walk.
                 self.deadline.check()?;
-                let cand = self.score(circuit, objective, base_cost, gate, &mut scratch);
+                let cand = self.score(circuit, objective, base_cost, gate, &mut scratch, &mut memo);
                 best = fold_best(best, cand);
             }
             best

@@ -12,6 +12,21 @@
 //! only shrink as fronts advance, the surviving argmax is exactly the
 //! brute-force argmax.
 //!
+//! Two things keep the sweep lean without changing a bit of its output:
+//!
+//! * **Parked bounds.** Initialization records each candidate's `Smx` and
+//!   recycles its walk at once; most candidates are pruned on that bound
+//!   alone. A candidate whose bound survives its first pop is
+//!   re-initialized — deterministically, so to the same bound — and then
+//!   advanced. Peak memory is one bound per candidate plus the fronts
+//!   actually being advanced, not one initialized front per candidate.
+//! * **A per-sweep edge-convolution memo** ([`EdgeConvMemo`]). A front
+//!   node's side inputs — gate edges whose upstream still carries its
+//!   base arrival and whose gate is not overridden — convolve to the same
+//!   distribution in every front that reaches that node, so the sweep
+//!   computes each once and shares it across all of its fronts. The memo
+//!   lives for one sweep over one immutable circuit borrow.
+//!
 //! Soundness note: past the front, propagation merges with *unperturbed*
 //! side inputs (shift 0), so the usable guarantee is
 //! `Sx ≤ max(Smx, 0)`. Pruning only ever compares against `Max_S ≥ 0`,
@@ -24,12 +39,14 @@
 //! With [`with_threads`](PrunedSelector::with_threads) `> 1` the sweep
 //! runs as a two-phase work-stealing scan (infrastructure in the crate's
 //! `parallel` module) inside a *single* spawn of the worker pool:
-//! workers steal candidates from a shared atomic cursor and initialize
-//! every front, rendezvous at a barrier (whose leader publishes the
-//! descending-initial-bound claim order — the parallel analogue of the
-//! serial heap's best-bound-first discipline), then roll straight into
-//! the propagation phase on the same threads, keeping each worker's
-//! scratch pool warm across the phase boundary. The live threshold is
+//! workers steal candidates from a shared atomic cursor and park every
+//! candidate's initial bound, rendezvous at a barrier (whose leader
+//! publishes the descending-initial-bound claim order — the parallel
+//! analogue of the serial heap's best-bound-first discipline), then roll
+//! straight into the propagation phase on the same threads, keeping each
+//! worker's scratch pool and memo warm across the phase boundary. A
+//! claimed candidate whose parked bound survives the threshold is
+//! re-initialized once and advanced. The live threshold is
 //! the paper's `Max_S` published through an atomic monotone max, so
 //! every worker prunes against the freshest exact sensitivity completed
 //! anywhere.
@@ -44,7 +61,9 @@
 //! sorts by (sensitivity, lowest gate id) — a total order. Only the
 //! [`PruneStats`] *counters* are schedule-dependent: which candidates get
 //! pruned versus completed depends on when each worker observes `Max_S`
-//! (the invariant `pruned + completed == candidates` always holds).
+//! (the invariant `pruned + completed == candidates` always holds), and
+//! which worker's memo first meets a side input decides how many
+//! convolutions are reused.
 
 use crate::circuit::TimedCircuit;
 use crate::deadline::{Deadline, DeadlineExceeded};
@@ -53,7 +72,7 @@ use crate::parallel::{default_threads, normalize_threads, run_workers, SharedMax
 use crate::selection::Selection;
 use statsize_dist::{lattice_shift_bound, DistScratch};
 use statsize_netlist::GateId;
-use statsize_ssta::{ConeWalk, SstaAnalysis, StepReport, TimingNode};
+use statsize_ssta::{ConeWalk, EdgeConvMemo, SstaAnalysis, StepReport, TimingNode};
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
@@ -68,8 +87,8 @@ use std::sync::{Barrier, Mutex, OnceLock};
 /// two counters may differ from the serial sweep's (each worker observes
 /// the shared `Max_S` threshold at different moments, so a candidate the
 /// serial sweep pruned may complete in a parallel run and vice versa),
-/// and `levels_propagated`/`nodes_computed` vary accordingly; the
-/// returned [`Selection`]s are bit-identical regardless.
+/// and `levels_propagated`/`nodes_computed`/`convolutions_reused` vary
+/// accordingly; the returned [`Selection`]s are bit-identical regardless.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PruneStats {
     /// Number of candidate gates considered (all gates in the circuit).
@@ -78,10 +97,18 @@ pub struct PruneStats {
     pub completed: usize,
     /// Candidates eliminated by the bound before reaching the sink.
     pub pruned: usize,
-    /// Total `PropagateOneLevel` calls, including initialization steps.
+    /// Total `PropagateOneLevel` calls, including initialization steps —
+    /// both the initialization that records a candidate's bound and the
+    /// re-initialization of each front that survives its first pop.
     pub levels_propagated: usize,
-    /// Total perturbed arrival distributions computed across all fronts.
+    /// Total perturbed arrival distributions computed across all fronts,
+    /// counting the same two initializations.
     pub nodes_computed: usize,
+    /// Side-input edge convolutions served from the sweep's
+    /// [`EdgeConvMemo`] instead of recomputed. Deterministic for the
+    /// serial sweep; under threads > 1 each worker keeps its own memo, so
+    /// the count depends on the schedule like the pruned/completed split.
+    pub convolutions_reused: usize,
 }
 
 impl PruneStats {
@@ -101,6 +128,7 @@ impl PruneStats {
         self.pruned += other.pruned;
         self.levels_propagated += other.levels_propagated;
         self.nodes_computed += other.nodes_computed;
+        self.convolutions_reused += other.convolutions_reused;
     }
 }
 
@@ -376,6 +404,7 @@ impl PrunedSelector {
         circuit: &'c TimedCircuit<'_>,
         gate: GateId,
         scratch: &mut DistScratch,
+        memo: &mut EdgeConvMemo<'c>,
         stats: &mut PruneStats,
     ) -> Candidate<'c> {
         let base = circuit.ssta();
@@ -392,15 +421,28 @@ impl PrunedSelector {
             .graph()
             .level(circuit.graph().out_node_of_gate(gate));
         while cand.walk.next_level().is_some_and(|l| l <= own_level) {
-            let report = cand
-                .walk
-                .step_level_with(scratch)
-                .expect("level observed pending");
-            stats.levels_propagated += 1;
-            stats.nodes_computed += report.computed.len();
-            cand.absorb(&report, base, self.delta_w);
+            self.advance(&mut cand, base, scratch, memo, stats);
         }
         cand
+    }
+
+    /// One `PropagateOneLevel` step (Figure 9) of a front, folded into
+    /// its bound and the work counters.
+    fn advance(
+        &self,
+        cand: &mut Candidate<'_>,
+        base: &SstaAnalysis,
+        scratch: &mut DistScratch,
+        memo: &mut EdgeConvMemo<'_>,
+        stats: &mut PruneStats,
+    ) {
+        let report = cand
+            .walk
+            .step_level_memoized(scratch, memo)
+            .expect("unfinished fronts always have pending levels");
+        stats.levels_propagated += 1;
+        stats.nodes_computed += report.computed.len();
+        cand.absorb(&report, base, self.delta_w);
     }
 
     /// The serial reference sweep: best-bound-first propagation with a
@@ -413,69 +455,66 @@ impl PrunedSelector {
     ) -> Result<(Vec<Selection>, PruneStats), DeadlineExceeded> {
         let base = circuit.ssta();
         let base_cost = circuit.objective_value(objective);
+        let gates: Vec<GateId> = circuit.netlist().gate_ids().collect();
         let mut stats = PruneStats {
-            candidates: circuit.netlist().gate_count(),
+            candidates: gates.len(),
             ..PruneStats::default()
         };
 
-        // One buffer pool shared by every candidate front in this sweep:
-        // distributions retired by any front immediately serve the next
-        // propagation step, wherever it happens.
+        // One buffer pool and one side-edge convolution memo shared by
+        // every candidate front in this sweep: distributions retired by
+        // any front immediately serve the next propagation step, and a
+        // side input convolved for one front serves every other.
         let mut scratch = DistScratch::new();
+        let mut memo = EdgeConvMemo::new(base, circuit.delays());
 
-        // --- Initialize every candidate (Figure 7). ---
-        let mut candidates: Vec<Option<Candidate<'_>>> = Vec::new();
-        for gate in circuit.netlist().gate_ids() {
+        // --- Initialize every candidate (Figure 7), parking only its
+        // bound: the walk is recycled at once and rebuilt if the bound
+        // survives its first pop. ---
+        let mut heap: BinaryHeap<HeapEntry> = BinaryHeap::with_capacity(gates.len());
+        for (idx, &gate) in gates.iter().enumerate() {
             self.deadline.check()?;
-            candidates.push(Some(self.initialize_candidate(
-                circuit,
-                gate,
-                &mut scratch,
-                &mut stats,
-            )));
+            let cand =
+                self.initialize_candidate(circuit, gate, &mut scratch, &mut memo, &mut stats);
+            heap.push(HeapEntry { smx: cand.smx, idx });
+            cand.walk.recycle_into(&mut scratch);
         }
 
         // --- Best-bound-first propagation with pruning (Figure 6). ---
-        let mut heap: BinaryHeap<HeapEntry> = candidates
-            .iter()
-            .enumerate()
-            .map(|(idx, c)| HeapEntry {
-                smx: c.as_ref().expect("just created").smx,
-                idx,
-            })
-            .collect();
+        // Every unfinished candidate has exactly one heap entry, keyed by
+        // its current bound; `fronts` holds the walks of the candidates
+        // that have been advanced at least once.
+        let mut fronts: Vec<Option<Candidate<'_>>> = gates.iter().map(|_| None).collect();
         // Completed selections, kept sorted best-first. The pruning
         // threshold is the k-th best completed sensitivity (the paper's
         // `Max_S` when k = 1), never below 0.
         let mut completed: Vec<Selection> = Vec::new();
 
-        while let Some(entry) = heap.pop() {
+        while let Some(HeapEntry { smx, idx }) = heap.pop() {
             // One heap pop == at most one propagated level: the natural
             // cooperative-deadline boundary of the serial sweep.
             self.deadline.check()?;
-            let slot = &mut candidates[entry.idx];
-            let Some(cand) = slot.as_mut() else {
-                continue; // finished or pruned earlier (stale heap entry)
-            };
-            if entry.smx != cand.smx {
-                continue; // stale key: a fresher entry exists
-            }
             // Prune: the bound says this candidate can never enter the
             // top k (minus the floating-point safety slack).
-            if cand.smx < threshold_of(&completed, k) - PRUNE_SLACK {
+            if smx < threshold_of(&completed, k) - PRUNE_SLACK {
                 stats.pruned += 1;
-                if let Some(c) = slot.take() {
+                if let Some(c) = fronts[idx].take() {
                     c.walk.recycle_into(&mut scratch);
                 }
                 continue;
             }
-            let report = cand
-                .walk
-                .step_level_with(&mut scratch)
-                .expect("unfinished candidates always have pending levels");
-            stats.levels_propagated += 1;
-            stats.nodes_computed += report.computed.len();
-            cand.absorb(&report, base, self.delta_w);
+            // A parked bound survived: rebuild its front. Initialization
+            // is deterministic, so the bound (and the heap order) is
+            // exactly the one parked.
+            let cand = fronts[idx].get_or_insert_with(|| {
+                self.initialize_candidate(circuit, gates[idx], &mut scratch, &mut memo, &mut stats)
+            });
+            debug_assert_eq!(
+                cand.smx.to_bits(),
+                smx.to_bits(),
+                "front drifted from its key"
+            );
+            self.advance(cand, base, &mut scratch, &mut memo, &mut stats);
 
             if let Some(sink) = cand.walk.sink_arrival() {
                 // Front reached the sink: exact sensitivity.
@@ -487,16 +526,15 @@ impl PrunedSelector {
                 };
                 let pos = completed.partition_point(|existing| existing.better_than(&selection));
                 completed.insert(pos, selection);
-                if let Some(c) = slot.take() {
+                if let Some(c) = fronts[idx].take() {
                     c.walk.recycle_into(&mut scratch);
                 }
             } else {
-                heap.push(HeapEntry {
-                    smx: cand.smx,
-                    idx: entry.idx,
-                });
+                heap.push(HeapEntry { smx: cand.smx, idx });
             }
         }
+        stats.convolutions_reused = memo.reused();
+        memo.recycle_into(&mut scratch);
 
         completed.truncate(k);
         completed.retain(|s| s.sensitivity > 0.0);
@@ -508,13 +546,13 @@ impl PrunedSelector {
     /// top-k).
     ///
     /// Both phases run inside a single spawn of the worker pool: each
-    /// worker initializes fronts until the init cursor drains, meets the
-    /// others at a barrier (the leader publishes the propagation claim
-    /// order there), and continues straight into the sweep with its
-    /// scratch pool — and the distributions recycled into it during
-    /// initialization — intact. Spawning once halves the thread setup
-    /// cost per selection and removes the serial gap the old
-    /// join-sort-respawn sequence put between the phases.
+    /// worker initializes fronts until the init cursor drains, parking
+    /// only each candidate's bound, meets the others at a barrier (the
+    /// leader publishes the propagation claim order there), and
+    /// continues straight into the sweep with its scratch pool and its
+    /// side-edge convolution memo intact. A claimed candidate whose
+    /// parked bound survives the threshold is re-initialized once and
+    /// then advanced.
     fn select_top_k_parallel(
         &self,
         circuit: &TimedCircuit<'_>,
@@ -531,15 +569,13 @@ impl PrunedSelector {
             ..PruneStats::default()
         };
 
-        // Initialized fronts are parked in per-candidate slots between
-        // the phases (each slot is locked exactly twice — once to park,
-        // once to claim — so the mutexes are uncontended bookkeeping,
-        // not a hot path).
-        let slots: Vec<Mutex<Option<Candidate<'_>>>> = (0..n).map(|_| Mutex::new(None)).collect();
+        // Initial bounds, parked between the phases (each set exactly
+        // once in phase 1 and read after the barrier).
+        let bounds: Vec<OnceLock<f64>> = (0..n).map(|_| OnceLock::new()).collect();
         let init_queue = WorkQueue::new(n);
         let sweep_queue = WorkQueue::new(n);
         // Propagation claim order, published by the barrier leader once
-        // every front is parked: descending initial bound, ties toward
+        // every bound is parked: descending initial bound, ties toward
         // the lower gate index — the parallel analogue of the serial
         // heap's best-bound-first discipline, so the strongest candidate
         // completes early and raises the shared threshold for everyone
@@ -556,6 +592,7 @@ impl PrunedSelector {
 
         let worker_stats: Vec<PruneStats> = run_workers(threads, || {
             let mut scratch = DistScratch::new();
+            let mut memo = EdgeConvMemo::new(base, circuit.delays());
             let mut local = PruneStats::default();
 
             // --- Phase 1: initialize every front (Figure 7), workers
@@ -568,28 +605,29 @@ impl PrunedSelector {
                 let Some(idx) = init_queue.claim() else {
                     break;
                 };
-                let cand = self.initialize_candidate(circuit, gates[idx], &mut scratch, &mut local);
-                *slots[idx].lock().expect("init worker panicked") = Some(cand);
+                let cand = self.initialize_candidate(
+                    circuit,
+                    gates[idx],
+                    &mut scratch,
+                    &mut memo,
+                    &mut local,
+                );
+                bounds[idx]
+                    .set(cand.smx)
+                    .expect("each candidate is initialized once");
+                cand.walk.recycle_into(&mut scratch);
             }
 
-            // Rendezvous: every front is parked (every worker reaches the
+            // Rendezvous: every bound is parked (every worker reaches the
             // barrier even on an expired deadline — a missing party would
             // deadlock the rest). The barrier elects a leader, which
             // sorts the initial bounds while the others wait at the
             // second barrier; then all workers roll on.
             if rendezvous.wait().is_leader() && !expired.load(AtomicOrdering::Relaxed) {
-                let mut by_bound: Vec<(f64, usize)> = slots
+                let mut by_bound: Vec<(f64, usize)> = bounds
                     .iter()
                     .enumerate()
-                    .map(|(idx, slot)| {
-                        let smx = slot
-                            .lock()
-                            .expect("init worker panicked")
-                            .as_ref()
-                            .expect("phase 1 initialized every slot")
-                            .smx;
-                        (smx, idx)
-                    })
+                    .map(|(idx, b)| (*b.get().expect("phase 1 parked every bound"), idx))
                     .collect();
                 by_bound.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
                 order
@@ -608,39 +646,39 @@ impl PrunedSelector {
             // --- Phase 2: advance claimed fronts to the sink or prune
             // them against the live shared threshold (Figure 6's loop,
             // fronts distributed across workers). ---
-            'sweep: while let Some(pos) = sweep_queue.claim() {
+            while let Some(pos) = sweep_queue.claim() {
                 if expired.load(AtomicOrdering::Relaxed) {
                     break;
                 }
                 let idx = order[pos];
-                let mut cand = slots[idx]
-                    .lock()
-                    .expect("sweep worker panicked")
-                    .take()
-                    .expect("each slot is claimed exactly once");
-                loop {
+                let bound = *bounds[idx].get().expect("phase 1 parked every bound");
+                let mut front: Option<Candidate<'_>> = None;
+                let deadline_hit = loop {
                     // Cooperative deadline, once per front level.
                     if self.deadline.expired() {
-                        expired.store(true, AtomicOrdering::Relaxed);
-                        cand.walk.recycle_into(&mut scratch);
-                        break 'sweep;
+                        break true;
                     }
                     // Prune: the bound says this candidate can never
                     // enter the top k. A stale (lagging) threshold read
                     // only delays pruning — it can never prune a
                     // candidate the final threshold would keep.
-                    if cand.smx < threshold.get() - PRUNE_SLACK {
+                    let smx = front.as_ref().map_or(bound, |c| c.smx);
+                    if smx < threshold.get() - PRUNE_SLACK {
                         local.pruned += 1;
-                        cand.walk.recycle_into(&mut scratch);
-                        break;
+                        break false;
                     }
-                    let report = cand
-                        .walk
-                        .step_level_with(&mut scratch)
-                        .expect("unfinished candidates always have pending levels");
-                    local.levels_propagated += 1;
-                    local.nodes_computed += report.computed.len();
-                    cand.absorb(&report, base, self.delta_w);
+                    // The parked bound survived: rebuild its front
+                    // (deterministically, so with the same bound).
+                    let cand = front.get_or_insert_with(|| {
+                        self.initialize_candidate(
+                            circuit,
+                            gates[idx],
+                            &mut scratch,
+                            &mut memo,
+                            &mut local,
+                        )
+                    });
+                    self.advance(cand, base, &mut scratch, &mut memo, &mut local);
 
                     if let Some(sink) = cand.walk.sink_arrival() {
                         // Front reached the sink: exact sensitivity,
@@ -655,17 +693,25 @@ impl PrunedSelector {
                         let at = done.partition_point(|existing| existing.better_than(&selection));
                         done.insert(at, selection);
                         threshold.raise(threshold_of(&done, k));
-                        drop(done);
-                        cand.walk.recycle_into(&mut scratch);
-                        break;
+                        break false;
                     }
+                };
+                if let Some(c) = front {
+                    c.walk.recycle_into(&mut scratch);
+                }
+                if deadline_hit {
+                    expired.store(true, AtomicOrdering::Relaxed);
+                    break;
                 }
             }
+            local.convolutions_reused = memo.reused();
+            memo.recycle_into(&mut scratch);
             local
         });
         if expired.load(AtomicOrdering::Relaxed) {
             return Err(DeadlineExceeded);
         }
+        // Worker-index order: a fixed merge order for every counter.
         for s in &worker_stats {
             stats.merge(s);
         }
@@ -773,6 +819,21 @@ mod tests {
             );
             assert_eq!(stats.candidates, serial_stats.candidates);
         }
+    }
+
+    /// The serial sweep's memo-hit count is deterministic: pinned on a
+    /// small reconvergent grid, where fronts of different candidates
+    /// keep meeting the same side inputs.
+    #[test]
+    fn serial_sweep_reuses_side_edge_convolutions() {
+        let nl = shapes::grid("g", 3, 4);
+        let lib = CellLibrary::synthetic_180nm();
+        let circuit = TimedCircuit::new(&nl, &lib, VariationModel::paper_default(), 1.0);
+        let obj = Objective::percentile(0.99);
+        let sel = PrunedSelector::new(1.0).with_threads(1);
+        let (_, stats) = sel.select_with_stats(&circuit, obj);
+        assert_eq!(stats.convolutions_reused, 5);
+        assert_eq!(sel.select_with_stats(&circuit, obj).1, stats, "repeatable");
     }
 
     #[test]

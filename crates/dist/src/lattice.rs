@@ -188,6 +188,18 @@ impl Dist {
         Self { dt, offset, mass }
     }
 
+    /// A [`Clone`] whose mass buffer is drawn from `scratch` instead of
+    /// the allocator.
+    pub fn copy_into(&self, scratch: &mut DistScratch) -> Dist {
+        let mut mass = scratch.take();
+        mass.extend_from_slice(&self.mass);
+        Self {
+            dt: self.dt,
+            offset: self.offset,
+            mass,
+        }
+    }
+
     /// Consumes the distribution, releasing its mass buffer (used by
     /// [`DistScratch::recycle`](crate::DistScratch::recycle)).
     pub(crate) fn into_mass(self) -> Vec<f64> {

@@ -90,6 +90,19 @@ mod tests {
     }
 
     #[test]
+    fn pooled_copy_equals_clone() {
+        let mut scratch = DistScratch::new();
+        scratch.put(Vec::with_capacity(8));
+        let d = Dist::new(0.5, -3, vec![0.25, 0.5, 0.25]).unwrap();
+        assert_eq!(d.copy_into(&mut scratch), d.clone());
+        assert_eq!(
+            scratch.pooled(),
+            0,
+            "the copy draws its buffer from the pool"
+        );
+    }
+
+    #[test]
     fn pool_is_capped() {
         let mut scratch = DistScratch::new();
         for _ in 0..2 * POOL_CAP {

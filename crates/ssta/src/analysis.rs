@@ -47,6 +47,7 @@ impl SstaAnalysis {
                             .expect("fan-in arrivals are computed at lower levels")
                     },
                     &mut scratch,
+                    None,
                 );
                 arrivals[node.index()] = Some(arrival);
             }

@@ -158,6 +158,21 @@ impl TimingGraph {
     pub fn nodes_in_level_order(&self) -> impl Iterator<Item = TimingNode> + '_ {
         self.nodes_by_level.iter().flatten().copied()
     }
+
+    /// Adds a zero-delay source edge in front of `to`'s other in-edges —
+    /// a shape no netlist produces (a gate-driven net is never a primary
+    /// input), which exercises a fan-in fold meeting a wire edge before
+    /// a gate edge.
+    #[cfg(test)]
+    pub(crate) fn prepend_source_edge(&mut self, to: TimingNode) {
+        let edge = InEdge {
+            from: TimingNode::SOURCE,
+            gate: None,
+        };
+        self.in_edges[to.index()].insert(0, edge);
+        self.out_nodes[TimingNode::SOURCE.index()].push(to);
+        self.edge_count += 1;
+    }
 }
 
 #[cfg(test)]

@@ -19,7 +19,9 @@
 //! * [`ConeWalk`] — level-by-level propagation of *perturbed* arrival
 //!   times from a set of per-gate delay overrides; both the brute-force
 //!   sensitivity computation and the paper's pruned perturbation fronts
-//!   are built on it.
+//!   are built on it. Walks of one selector sweep may share an
+//!   [`EdgeConvMemo`], which computes each side-input edge convolution
+//!   once per sweep.
 //! * [`run_sta`] — deterministic STA (nominal delays, critical path), the
 //!   substrate of the deterministic-optimization baseline.
 //! * [`MonteCarlo`] — sampled validation of the SSTA bound (paper §4 and
@@ -65,7 +67,7 @@ pub use delays::ArcDelays;
 pub use graph::{InEdge, TimingGraph};
 pub use monte_carlo::{MonteCarlo, SamplingMode};
 pub use node::TimingNode;
-pub use propagate::{ConeWalk, DelayOverrides, StepReport};
+pub use propagate::{ConeWalk, DelayOverrides, EdgeConvMemo, StepReport};
 pub use slack::SlackAnalysis;
 pub use sta::{run_sta, run_sta_with, StaResult};
 
@@ -79,6 +81,7 @@ const _: () = {
     const fn assert_send<T: Send>() {}
     const fn assert_sync<T: Sync>() {}
     assert_send::<ConeWalk<'static>>();
+    assert_send::<EdgeConvMemo<'static>>();
     assert_send::<StepReport>();
     assert_send::<DelayOverrides>();
     assert_sync::<DelayOverrides>();

@@ -20,6 +20,7 @@ use crate::graph::TimingGraph;
 use crate::node::TimingNode;
 use statsize_dist::{Dist, DistScratch};
 use statsize_netlist::GateId;
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap, HashSet};
 
 /// Override sets up to this size are probed by plain linear scan —
@@ -95,17 +96,92 @@ impl DelayOverrides {
     }
 }
 
+/// A per-sweep memo of side-input edge convolutions
+/// `base.arrival(from) ∗ delays.dist(gate)`.
+///
+/// Every perturbation front of one selector sweep walks the same base
+/// analysis under the same committed delays, so a gate edge whose
+/// upstream still carries its base arrival and whose gate is not
+/// overridden convolves to the same distribution in every front that
+/// reaches its head node. The memo computes each such edge once, on
+/// first use, and serves every later front from it; the fan-in fold then
+/// takes the memoized edge arrival through [`Dist::max_independent_into`],
+/// which is bit-identical to the fused [`Dist::convolve_max_into`] it
+/// replaces (both normalize the convolution the same way and call the
+/// same max kernel with the same operand order).
+///
+/// Scope: one sweep over one immutable base analysis and delay set. The
+/// memo borrows both, and [`ConeWalk::step_level_memoized`] panics when
+/// handed a memo built over a different pair — an entry can never
+/// outlive the arrivals and delays it was computed from.
+#[derive(Debug)]
+pub struct EdgeConvMemo<'a> {
+    base: &'a SstaAnalysis,
+    delays: &'a ArcDelays,
+    convs: HashMap<(TimingNode, GateId), Dist>,
+    reused: usize,
+}
+
+impl<'a> EdgeConvMemo<'a> {
+    /// An empty memo over one base analysis and its delays.
+    pub fn new(base: &'a SstaAnalysis, delays: &'a ArcDelays) -> Self {
+        Self {
+            base,
+            delays,
+            convs: HashMap::new(),
+            reused: 0,
+        }
+    }
+
+    /// Edge convolutions served from the memo instead of recomputed.
+    pub fn reused(&self) -> usize {
+        self.reused
+    }
+
+    /// Consumes the memo, recycling every memoized distribution into
+    /// `scratch`.
+    pub fn recycle_into(self, scratch: &mut DistScratch) {
+        for (_, dist) in self.convs {
+            scratch.recycle(dist);
+        }
+    }
+
+    /// True when `upstream` *is* the base arrival of `from` — the same
+    /// object, not merely an equal one — i.e. the walk has no perturbed
+    /// arrival for `from`.
+    fn is_base_arrival(&self, from: TimingNode, upstream: &Dist) -> bool {
+        std::ptr::eq(upstream, self.base.arrival(from))
+    }
+
+    /// The base arrival of `from` convolved with `gate`'s committed
+    /// delay, computed on first use.
+    fn conv(&mut self, from: TimingNode, gate: GateId, scratch: &mut DistScratch) -> &Dist {
+        match self.convs.entry((from, gate)) {
+            Entry::Occupied(e) => {
+                self.reused += 1;
+                e.into_mut()
+            }
+            Entry::Vacant(e) => e.insert(
+                self.base
+                    .arrival(from)
+                    .convolve_into(self.delays.dist(gate), scratch),
+            ),
+        }
+    }
+}
+
 /// Computes one node's arrival distribution from its fan-in arrivals:
 /// convolution along gate arcs (with per-gate overrides applied) and the
 /// independent statistical max across incoming edges, fused per edge via
 /// [`Dist::convolve_max_into`] so no intermediate per-edge distribution
-/// is ever materialized.
+/// is ever materialized. With a `memo`, side-input gate edges (base
+/// upstream, no override) take their convolution from it instead.
 ///
 /// All buffers cycle through `scratch`: the accumulator starts as a
 /// plain borrow of the first wire edge's upstream (no clone) and is only
 /// promoted to an owned distribution by the first real combine; replaced
 /// intermediates are recycled immediately. Results are bit-identical to
-/// the naive convolve-then-max edge fold.
+/// the naive convolve-then-max edge fold, with or without a memo.
 pub(crate) fn node_arrival<'a, F>(
     graph: &TimingGraph,
     node: TimingNode,
@@ -113,6 +189,7 @@ pub(crate) fn node_arrival<'a, F>(
     overrides: &DelayOverrides,
     resolve: F,
     scratch: &mut DistScratch,
+    mut memo: Option<&mut EdgeConvMemo<'_>>,
 ) -> Dist
 where
     F: Fn(TimingNode) -> &'a Dist,
@@ -125,16 +202,24 @@ where
         let upstream = resolve(e.from);
         match e.gate {
             Some(g) => {
-                let delay = overrides.get(g).unwrap_or_else(|| delays.dist(g));
-                let next = if let Some(acc) = owned.take() {
-                    let next = acc.convolve_max_into(upstream, delay, scratch);
-                    scratch.recycle(acc);
-                    next
-                } else if let Some(first) = borrowed.take() {
-                    first.convolve_max_into(upstream, delay, scratch)
-                } else {
-                    upstream.convolve_into(delay, scratch)
+                let overridden = overrides.get(g);
+                let memoized = match memo.as_deref_mut() {
+                    Some(m) if overridden.is_none() && m.is_base_arrival(e.from, upstream) => {
+                        Some(m.conv(e.from, g, scratch))
+                    }
+                    _ => None,
                 };
+                let delay = overridden.unwrap_or_else(|| delays.dist(g));
+                let acc = owned.take();
+                let next = match (acc.as_ref().or(borrowed.take()), memoized) {
+                    (Some(first), Some(conv)) => first.max_independent_into(conv, scratch),
+                    (Some(first), None) => first.convolve_max_into(upstream, delay, scratch),
+                    (None, Some(conv)) => conv.copy_into(scratch),
+                    (None, None) => upstream.convolve_into(delay, scratch),
+                };
+                if let Some(acc) = acc {
+                    scratch.recycle(acc);
+                }
                 owned = Some(next);
             }
             None => {
@@ -297,6 +382,34 @@ impl<'a> ConeWalk<'a> {
     /// buffers go straight back into the pool, making a full walk cost
     /// O(front width) allocations instead of O(nodes).
     pub fn step_level_with(&mut self, scratch: &mut DistScratch) -> Option<StepReport> {
+        self.step(scratch, None)
+    }
+
+    /// [`step_level_with`](ConeWalk::step_level_with) taking side-input
+    /// edge convolutions from a memo shared by every walk of one sweep —
+    /// bit-identical results, fewer convolutions.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `memo` was built over another base analysis or delay set
+    /// than this walk's.
+    pub fn step_level_memoized(
+        &mut self,
+        scratch: &mut DistScratch,
+        memo: &mut EdgeConvMemo<'_>,
+    ) -> Option<StepReport> {
+        assert!(
+            std::ptr::eq(memo.base, self.base) && std::ptr::eq(memo.delays, self.delays),
+            "edge-convolution memo belongs to another analysis"
+        );
+        self.step(scratch, Some(memo))
+    }
+
+    fn step(
+        &mut self,
+        scratch: &mut DistScratch,
+        mut memo: Option<&mut EdgeConvMemo<'_>>,
+    ) -> Option<StepReport> {
         let (&level, _) = self.pending.iter().next()?;
         let nodes = self.pending.remove(&level).expect("key just observed");
 
@@ -313,6 +426,7 @@ impl<'a> ConeWalk<'a> {
                     &self.overrides,
                     |n| perturbed.get(&n).unwrap_or_else(|| base.arrival(n)),
                     scratch,
+                    memo.as_deref_mut(),
                 )
             };
             self.perturbed.insert(node, arrival);
@@ -650,5 +764,105 @@ mod tests {
             shared.recycle_into(&mut scratch);
         }
         assert!(scratch.pooled() > 0, "retired buffers must be recycled");
+    }
+
+    /// Which fold paths the memoized walks took, classified from the
+    /// outside: the memo itself never reports why it hit.
+    #[derive(Default)]
+    struct MemoCases {
+        hits: usize,
+        first_edge_hit: bool,
+        wire_then_gate_hit: bool,
+        overridden_edge: bool,
+        perturbed_upstream: bool,
+    }
+
+    /// Runs, for every gate in turn, a shifted-delay walk sharing `memo`
+    /// and a memo-free walk, asserting every perturbed arrival and the
+    /// sink bit-identical and classifying each gate edge the memoized
+    /// walk folded.
+    fn memoized_walks_match(c: &Ctx, memo: &mut EdgeConvMemo<'_>, cases: &mut MemoCases) {
+        let mut scratch = DistScratch::new();
+        let mut side_edges: HashSet<(TimingNode, GateId)> = HashSet::new();
+        for (i, g) in c.nl.gate_ids().enumerate() {
+            let overrides = shift_override(c, g, 1 + i as i64 % 3);
+            let mut plain = ConeWalk::new(&c.graph, &c.delays, &c.base, overrides.clone());
+            plain.run_to_sink();
+            let mut memoized = ConeWalk::new(&c.graph, &c.delays, &c.base, overrides.clone());
+            while let Some(report) = memoized.step_level_memoized(&mut scratch, memo) {
+                for &node in &report.computed {
+                    let mut wire_seen = false;
+                    for (pos, e) in c.graph.in_edges(node).iter().enumerate() {
+                        let Some(gate) = e.gate else {
+                            wire_seen = true;
+                            continue;
+                        };
+                        // The overridden and perturbed cases count only
+                        // when the memo already holds the edge: a hit
+                        // there would be wrong, so it must be bypassed.
+                        let memoized_edge = side_edges.contains(&(e.from, gate));
+                        if overrides.get(gate).is_some() {
+                            cases.overridden_edge |= memoized_edge;
+                        } else if memoized.is_computed(e.from) {
+                            cases.perturbed_upstream |= memoized_edge;
+                        } else if !side_edges.insert((e.from, gate)) {
+                            cases.hits += 1;
+                            cases.first_edge_hit |= pos == 0;
+                            cases.wire_then_gate_hit |= wire_seen;
+                        }
+                    }
+                }
+            }
+            assert_eq!(memoized.sink_arrival(), plain.sink_arrival(), "gate {g}");
+            assert_eq!(
+                memoized.into_perturbed(),
+                plain.into_perturbed(),
+                "gate {g}"
+            );
+        }
+    }
+
+    /// Side-input convolutions served from a memo shared by every walk
+    /// leave every perturbed arrival bit-identical to the memo-free walk,
+    /// on every fold path the memo can take.
+    #[test]
+    fn edge_memo_matches_memo_free_walks() {
+        let mut cases = MemoCases::default();
+        for dt in [1.0, 0.25] {
+            let mut wired = ctx(bench::c17(), dt);
+            let n22 = wired.graph.node_of_net(wired.nl.find_net("22").unwrap());
+            wired.graph.prepend_source_edge(n22);
+            wired.base = SstaAnalysis::run(&wired.graph, &wired.delays);
+            for c in [
+                ctx(bench::c17(), dt),
+                ctx(shapes::grid("g", 3, 4), dt),
+                wired,
+            ] {
+                let mut memo = EdgeConvMemo::new(&c.base, &c.delays);
+                let before = cases.hits;
+                memoized_walks_match(&c, &mut memo, &mut cases);
+                assert_eq!(
+                    memo.reused(),
+                    cases.hits - before,
+                    "every side-edge hit counted"
+                );
+            }
+        }
+        assert!(cases.hits > 0, "the memo must serve some edges");
+        assert!(cases.first_edge_hit, "no first-edge hit exercised");
+        assert!(cases.wire_then_gate_hit, "no wire-then-gate hit exercised");
+        assert!(cases.overridden_edge, "no memoized overridden edge met");
+        assert!(cases.perturbed_upstream, "no memoized perturbed edge met");
+    }
+
+    #[test]
+    #[should_panic(expected = "belongs to another analysis")]
+    fn memo_over_another_analysis_is_refused() {
+        let c = ctx(bench::c17(), 1.0);
+        let other = ctx(bench::c17(), 1.0);
+        let mut memo = EdgeConvMemo::new(&other.base, &other.delays);
+        let g = c.nl.gate_ids().next().unwrap();
+        let mut walk = ConeWalk::new(&c.graph, &c.delays, &c.base, shift_override(&c, g, 1));
+        walk.step_level_memoized(&mut DistScratch::new(), &mut memo);
     }
 }

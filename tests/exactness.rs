@@ -113,6 +113,27 @@ fn identical_on_a_benchmark_profile() {
 }
 
 #[test]
+fn identical_at_fine_dt() {
+    // A fine lattice widens every arrival, so each side-input convolution
+    // the pruned sweep takes from its per-sweep memo spans many bins.
+    for nl in [bench::c17(), shapes::grid("g", 4, 4)] {
+        assert_identical_trajectories(&nl, 0.25, 3, Objective::percentile(0.99));
+    }
+}
+
+/// Pruned ≡ brute on the fine-grid campaign profiles. Minutes in the
+/// debug profile; run with
+/// `cargo test --release -q --test exactness -- --ignored`.
+#[test]
+#[ignore = "slow: run in release with --ignored"]
+fn identical_on_benchmark_profiles_at_fine_dt() {
+    for name in ["c432", "c880"] {
+        let nl = generator::generate_iscas(name, 1).expect("known profile");
+        assert_identical_trajectories(&nl, 0.25, 2, Objective::percentile(0.99));
+    }
+}
+
+#[test]
 fn unbounded_lookahead_heuristic_equals_brute_force() {
     let nl = shapes::grid("g", 3, 4);
     let lib = CellLibrary::synthetic_180nm();
