@@ -5,8 +5,9 @@
 //! convolution, independent max, percentile query, and the whole-bin
 //! shift measure — plus the allocation-free `_into`/fused variants,
 //! wide-arrival rows (2048/4096/8192 bins), per-backend rows
-//! (`convolve/1024/{scalar,simd}` and wide×wide
-//! `convolve_pair/{4096,8192}/{scalar,simd}`, forced through
+//! (`convolve/1024/{scalar,simd}`, the in-situ delay×arrival shapes
+//! `convolve/{55x650,190x3100}/<backend>` on every backend the CPU runs,
+//! and wide×wide `convolve_pair/{4096,8192}/{scalar,simd}`, forced through
 //! `Dist::convolve_dense` — the `STATSIZE_KERNEL_TIER` override is read
 //! once per process, so one run can cover every backend), an end-to-end
 //! `cone_walk` over generated benchmark circuits, whole pruned
@@ -16,7 +17,8 @@
 //! delta run), and serve-mode query latency (`service_query/*`: cold
 //! from-scratch re-analysis vs a warm session's incremental `what_if`),
 //! with a deterministic sample loop, and emits one JSON object per
-//! operation/size pair.
+//! operation/size pair under a header giving the machine's `nproc` and
+//! the active kernel `backend`.
 //!
 //! Usage: `cargo run --release -p statsize-bench --bin bench_baseline
 //! [--out=PATH] [--quick] [--compare=PATH]`
@@ -45,6 +47,17 @@ use std::time::Instant;
 fn arrival_like(bins: usize) -> Dist {
     let sigma = bins as f64 / 6.0;
     TruncatedGaussian::new(1000.0, sigma, 3.0).discretize(1.0)
+}
+
+/// A Gaussian-shaped distribution exactly `bins` wide (±3σ).
+fn bell(bins: usize) -> Dist {
+    let mid = (bins as f64 - 1.0) / 2.0;
+    let sigma = (bins as f64 / 6.0).max(0.5);
+    let mass: Vec<f64> = (0..bins)
+        .map(|i| (-0.5 * ((i as f64 - mid) / sigma).powi(2)).exp())
+        .collect();
+    let total: f64 = mass.iter().sum();
+    Dist::new(1.0, 0, mass.into_iter().map(|m| m / total).collect()).expect("valid bell")
 }
 
 fn delay_like() -> Dist {
@@ -261,6 +274,28 @@ fn main() {
                 scratch.recycle(black_box(r));
             }),
         );
+        // In-situ shapes, delay taps × arrival bins, on every backend
+        // this CPU runs: 55×650 is typical of gen1200 at dt = 1, and
+        // 190×3100 of c1355 at dt = 0.25 (its arrival p90 is ~3,200
+        // bins). Outputs this wide spill L1 under a kernel that makes
+        // one pass over them per tap block, which the hot-cache
+        // 1024-bin rows above do not show.
+        for (taps, bins) in [(55usize, 650usize), (190, 3100)] {
+            let delay = bell(taps);
+            let arrival = bell(bins);
+            for backend in KernelBackend::ALL {
+                if !backend.is_available() {
+                    continue;
+                }
+                record(
+                    format!("convolve/{taps}x{bins}/{}", backend.name()),
+                    measure(effort, || {
+                        let r = black_box(&arrival).convolve_dense(&delay, backend, &mut scratch);
+                        scratch.recycle(black_box(r));
+                    }),
+                );
+            }
+        }
         // Wide×wide pairs: the widest dense products.
         for bins in [4096usize, 8192] {
             let a = arrival_like(bins);
@@ -443,11 +478,12 @@ fn main() {
         .string("profile", "release")
         .integer("recorded_unix", unix_secs)
         .integer(
-            "threads",
+            "nproc",
             std::thread::available_parallelism()
                 .map(|n| n.get() as u64)
                 .unwrap_or(1),
         )
+        .string("backend", KernelBackend::active().name())
         .array("results", &results);
     std::fs::write(&out_path, doc.render() + "\n").expect("write baseline file");
     println!("\nwrote {out_path}");

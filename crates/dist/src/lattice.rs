@@ -362,7 +362,7 @@ impl Dist {
     pub fn convolve_into(&self, other: &Dist, scratch: &mut DistScratch) -> Dist {
         self.assert_same_lattice(other);
         let mut out = scratch.take();
-        let total = kernel::convolve_raw(&self.mass, &other.mass, &mut out);
+        let total = kernel::convolve_raw(&self.mass, &other.mass, &mut out, scratch);
         Dist::from_raw_summed(self.dt, self.offset + other.offset, out, total)
     }
 
@@ -383,7 +383,8 @@ impl Dist {
     ) -> Dist {
         self.assert_same_lattice(other);
         let mut out = scratch.take();
-        let total = kernel::convolve_with_backend(backend, &self.mass, &other.mass, &mut out);
+        let total =
+            kernel::convolve_checked(backend, &self.mass, &other.mass, &mut out, &mut scratch.pad);
         Dist::from_raw_summed(self.dt, self.offset + other.offset, out, total)
     }
 
@@ -435,7 +436,7 @@ impl Dist {
         self.assert_same_lattice(upstream);
         upstream.assert_same_lattice(delay);
         let mut conv = scratch.take();
-        let conv_total = kernel::convolve_raw(&upstream.mass, &delay.mass, &mut conv);
+        let conv_total = kernel::convolve_raw(&upstream.mass, &delay.mass, &mut conv, scratch);
         let conv_off = normalize_raw_summed(&mut conv, upstream.offset + delay.offset, conv_total);
         let mut out = scratch.take();
         let (lo, total) = max_raw(self.offset, &self.mass, conv_off, &conv, &mut out);
@@ -505,7 +506,7 @@ impl Dist {
         let mut reflected = scratch.take();
         reflected.extend(other.mass.iter().rev());
         let mut out = scratch.take();
-        let total = kernel::convolve_raw(&self.mass, &reflected, &mut out);
+        let total = kernel::convolve_raw(&self.mass, &reflected, &mut out, scratch);
         scratch.put(reflected);
         let offset = self.offset - (other.offset + other.mass.len() as i64 - 1);
         Dist::from_raw_summed(self.dt, offset, out, total)
@@ -764,9 +765,9 @@ mod tests {
         assert!(d.percentile(0.8) > 1.5);
     }
 
-    // The blocked-kernel bit-identity test lives in `kernel.rs`, where
-    // it pins every runtime-dispatched backend to the naive tap-order
-    // reference.
+    // The kernel bit-identity tests live in `kernel.rs` and
+    // `tests/kernels.rs`, where they pin every runtime-dispatched
+    // backend to the scalar tap-order reference.
 
     #[test]
     fn convolve_adds_means_and_variances() {

@@ -25,11 +25,14 @@
 //! SSTA hot path uses.
 //!
 //! Every convolution runs one dense kernel, runtime-dispatched to the
-//! widest SIMD backend the CPU offers ([`KernelBackend`]) and
-//! bit-identical to the scalar tap-order reference on every backend, so
-//! the shift bounds above hold exactly on every path. The
-//! `STATSIZE_KERNEL_TIER` environment variable pins a backend
-//! (`scalar`, `sse2` or `simd`).
+//! widest SIMD backend the CPU offers ([`KernelBackend`]: AVX-512F, AVX2
+//! or SSE2 on x86-64, the scalar loop elsewhere). The SIMD backends are
+//! one output-stationary kernel that keeps each block of output columns
+//! in registers across all of its taps, and every backend is
+//! bit-identical to the scalar tap-order reference, so the shift bounds
+//! above hold exactly on every path. The `STATSIZE_KERNEL_TIER`
+//! environment variable caps the backend (`scalar`, `sse2`, `avx2`, or
+//! `simd` for the widest).
 //!
 //! # Example
 //!

@@ -13,6 +13,11 @@
 //! Pooling never changes numerical results: buffers are fully overwritten
 //! before use, so every `_into` variant remains bit-identical to its
 //! allocating counterpart.
+//!
+//! Besides the pool, a scratch holds one buffer outside it: the
+//! zero-padded operand copy the SIMD convolution kernels read from. It
+//! is rebuilt by every convolution and keeps the capacity of the widest
+//! one, so a sweep pays for it once.
 
 use crate::lattice::Dist;
 
@@ -32,6 +37,8 @@ const POOL_CAP: usize = 64;
 #[derive(Debug, Default)]
 pub struct DistScratch {
     pool: Vec<Vec<f64>>,
+    /// The convolution kernels' zero-padded copy of the long operand.
+    pub(crate) pad: Vec<f64>,
 }
 
 impl DistScratch {

@@ -8,9 +8,11 @@
 //! run armed through the `STATSIZE_FAILPOINTS` environment variable.
 //!
 //! The failpoint registry is process-global (campaign workers run on
-//! plain threads), so every test here arms with a detail filter unique
-//! to its own corpus — concurrently running tests cannot trip each
-//! other's faults.
+//! plain threads), so every campaign test here arms with a detail filter
+//! unique to its own corpus — concurrently running tests cannot trip
+//! each other's faults. The WAL tests cannot: their details are record
+//! kinds and line numbers every WAL shares, so they hold [`WAL_FAULTS`]
+//! instead.
 #![cfg(feature = "failpoints")]
 
 use statsize::failpoint::{arm, FaultAction};
@@ -21,7 +23,12 @@ use statsize_bench::serve::Server;
 use statsize_cells::CellLibrary;
 use statsize_netlist::bench;
 use std::path::PathBuf;
+use std::sync::Mutex;
 use std::time::Duration;
+
+/// Serializes the tests that arm WAL failpoints: a `wal::replay` fault
+/// armed by one would otherwise tear the other's `wal::read`.
+static WAL_FAULTS: Mutex<()> = Mutex::new(());
 
 /// A two-job corpus whose names embed `tag`, so each test's armed
 /// failpoints match only its own jobs.
@@ -212,6 +219,7 @@ fn injected_torn_wal_append_recovers_to_the_durable_prefix() {
     // Rig the WAL writer to crash mid-write on the first `step` record:
     // half the line's bytes land (no newline) and the writer goes
     // permanently quiet, exactly like a process killed inside `write`.
+    let _serial = WAL_FAULTS.lock().unwrap_or_else(|e| e.into_inner());
     let dir = scratch_dir("wal-append");
     let path = dir.join("serve.wal");
     let _fp = arm("wal::append", Some("step"), FaultAction::Trigger);
@@ -245,6 +253,7 @@ fn injected_read_time_corruption_truncates_the_wal_history() {
     // Write a healthy WAL, then rig the *reader* to tear line 4 (the
     // commit record — the header is line 1). Everything from the tear on
     // is quarantined: history cannot be trusted past a torn line.
+    let _serial = WAL_FAULTS.lock().unwrap_or_else(|e| e.into_inner());
     let dir = scratch_dir("wal-replay");
     let path = dir.join("serve.wal");
     let mut server = Server::new().with_wal(Wal::create(&path).expect("create WAL"));
