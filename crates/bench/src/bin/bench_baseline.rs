@@ -12,7 +12,7 @@
 //! once per process, so one run can cover every backend), an end-to-end
 //! `cone_walk` over generated benchmark circuits, whole pruned
 //! selection sweeps at 1/2/4/8 worker threads (`pruned_parallel/*`),
-//! a 3-circuit sharded campaign (`campaign/*`), result-store campaign
+//! 3-circuit sharded campaigns (`campaign/*`), result-store campaign
 //! paths (`campaign_store/*`: cold vs cache-replayed vs warm-started
 //! delta run), and serve-mode query latency (`service_query/*`: cold
 //! from-scratch re-analysis vs a warm session's incremental `what_if`),
@@ -366,25 +366,32 @@ fn main() {
     // End-to-end sharded campaign over a 3-circuit corpus (the smallest
     // real circuit plus two generated profiles), 2 sizing iterations
     // each: the unit of work `statsize-campaign` repeats per corpus.
-    // `s1` is the serial reference; `s2` steals circuits across two
-    // shard workers (on a single-core host this shows scheduling
-    // overhead, not speedup — compare on multi-core hardware).
+    // `s1` is the serial reference; `s2` runs two shard workers. The
+    // `c432+c880+c1355` corpus lists its largest circuit last: shards
+    // claim it first, and the shard that drains the small ones lends its
+    // thread to the big circuit's remaining sweeps.
     {
-        let jobs: Vec<CampaignJob> = ["c17", "c432", "c880"]
-            .iter()
-            .map(|name| CampaignJob::new(*name, suite::build_circuit(name, 1)))
-            .collect();
         let lib = CellLibrary::synthetic_180nm();
-        for shards in [1usize, 2] {
-            let campaign = Campaign::new(Objective::percentile(0.99), SelectorKind::Pruned)
-                .with_max_iterations(2)
-                .with_shards(shards);
-            record(
-                format!("campaign/c17+c432+c880/s{shards}"),
-                measure(effort, || {
-                    black_box(campaign.run(black_box(&jobs), &lib));
-                }),
-            );
+        let corpora: [(&[&str], &[usize]); 2] = [
+            (&["c17", "c432", "c880"], &[1, 2]),
+            (&["c432", "c880", "c1355"], &[2]),
+        ];
+        for (names, shard_counts) in corpora {
+            let jobs: Vec<CampaignJob> = names
+                .iter()
+                .map(|name| CampaignJob::new(*name, suite::build_circuit(name, 1)))
+                .collect();
+            for &shards in shard_counts {
+                let campaign = Campaign::new(Objective::percentile(0.99), SelectorKind::Pruned)
+                    .with_max_iterations(2)
+                    .with_shards(shards);
+                record(
+                    format!("campaign/{}/s{shards}", names.join("+")),
+                    measure(effort, || {
+                        black_box(campaign.run(black_box(&jobs), &lib));
+                    }),
+                );
+            }
         }
     }
 

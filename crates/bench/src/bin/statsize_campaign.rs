@@ -20,8 +20,11 @@
 //! * `--profiles=a,b,c` — add generated jobs: `c17`, any ISCAS-85
 //!   profile name, or `gen<N>` for a scaled profile with `N` nodes.
 //! * `--shards=N` — circuit-level workers (default 1).
-//! * `--threads=N` — **total** selector-thread budget divided across
-//!   shards (default: one selector thread per shard).
+//! * `--threads=N` — **total** selector-thread budget: each shard owns
+//!   `N / shards` threads (at least one) while it has jobs; the rest,
+//!   and the threads of shards that run out of jobs, are lent to each
+//!   selector sweep as it starts (default: one selector thread per
+//!   shard). Shards claim the largest circuits first.
 //! * `--out=PATH` — report path (default `campaign_report.json`).
 //! * `--timing` — include wall-clock fields in the report. Off by
 //!   default so the report bytes are **bit-identical across shard
@@ -430,7 +433,7 @@ fn main() -> ExitCode {
     let counts = report.counts();
     println!(
         "{} jobs ({} completed, {} degraded, {} failed, {} timed out, {} skipped, {} resumed, \
-         {} cached), {} shards x {} selector threads, total {:.1} ms",
+         {} cached), {} shards x {} selector threads, {} sweeps on lent threads, total {:.1} ms",
         report.outcomes.len(),
         counts.completed,
         counts.degraded,
@@ -441,6 +444,7 @@ fn main() -> ExitCode {
         report.cached,
         report.shards,
         report.threads_per_shard,
+        report.lent_sweeps,
         report.wall.as_secs_f64() * 1e3
     );
 

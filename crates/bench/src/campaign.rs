@@ -117,6 +117,7 @@ pub fn render_report(report: &CampaignReport, objective: &str, include_timing: b
         // across-resume) contract.
         doc.integer("shards", report.shards as u64)
             .integer("threads_per_shard", report.threads_per_shard as u64)
+            .integer("lent_sweeps", report.lent_sweeps as u64)
             .integer("resumed", report.resumed as u64)
             .integer("cached", report.cached as u64);
     }
@@ -153,6 +154,10 @@ mod tests {
         assert!(json.contains("\"completed\":1"), "document-level tallies");
         assert!(!json.contains("shards"), "schedule metadata is timing-only");
         assert!(!json.contains("resumed"), "resume count is timing-only");
+        assert!(
+            !json.contains("lent_sweeps"),
+            "thread lending is timing-only"
+        );
         assert!(!json.contains("wall_ms"));
         assert!(
             !json.contains("\"pruned\""),
@@ -181,6 +186,10 @@ mod tests {
         let json = render_report(&report, "T(99%)", true);
         assert!(json.contains("\"wall_ms\":"));
         assert!(json.contains("\"shards\":1"));
+        assert!(
+            json.contains("\"lent_sweeps\":0"),
+            "one shard has no one to lend to"
+        );
         assert!(json.contains("\"resumed\":0"));
         assert!(json.contains("\"cached\":0"));
         assert!(json.contains("\"pruned\":"));

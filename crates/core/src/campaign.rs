@@ -3,28 +3,31 @@
 //! The paper evaluates gate sizing across the whole ISCAS-85 suite, not
 //! one circuit at a time. A [`Campaign`] drives the [`Optimizer`] over a
 //! list of [`CampaignJob`]s — independent circuits — sharded across a
-//! work-stealing pool built from the same primitives as the candidate
-//! sweeps ([`crate::parallel`]): shards steal whole circuits from an
-//! atomic cursor, so a corpus of mixed sizes load-balances automatically.
+//! pool built from the same primitives as the candidate sweeps
+//! ([`crate::parallel`]): shards claim whole circuits from an atomic
+//! cursor, **largest first** (descending timing-node count, ties in job
+//! order). Claiming in list order is not enough to balance a corpus of
+//! mixed sizes: a big circuit listed last starts only when a shard
+//! frees up, and the other shards idle while it runs alone. Largest
+//! first starts it at once.
 //!
 //! Two levels of parallelism compose: `shards` circuit-level workers,
-//! each handing a share of the total selector-thread budget to its
-//! circuit's selector sweeps. The share is **adaptive**: each job's
-//! budget is proportional to its timing-node count, normalized so that
-//! any `shards` jobs resident at once stay within the total (see
-//! [`Campaign::with_total_threads`]). A flat `total / shards` split
-//! wastes most of the budget on mixed corpora — small circuits cap
-//! their selector threads at the candidate count anyway, while the big
-//! circuits that dominate the wall clock are starved; sizing the grant
-//! by node count hands those threads to the jobs that can use them.
-//! Every share floors at one — a shard needs a selector thread to make
-//! progress — so a budget *below* the shard count cannot be honored and
-//! degrades to one selector thread per shard, i.e. `shards` concurrent
-//! threads. Because every per-circuit optimization is bit-identical for
-//! any selector thread count (the PR 3 contract) and circuits are
-//! independent, the campaign outcome is **bit-identical to running each
-//! circuit serially** regardless of the shard count or the budget split
-//! — pinned by `tests/campaign_determinism.rs`.
+//! and the selector threads of each circuit's sweeps. The total thread
+//! budget ([`Campaign::with_total_threads`]) is **work-conserving**:
+//! each shard owns `total / shards` threads (floored at one) while it
+//! has jobs, and the rest — the remainder of that split, plus the
+//! threads of every shard that finds the job queue empty — sits in a
+//! spare pool. Each selector sweep that starts takes every spare thread
+//! and returns them when it ends, so the circuits still running at the
+//! tail of a campaign pick up the threads of the shards that have
+//! drained. A shard cannot run with zero selector threads, so a budget
+//! *below* the shard count degrades to one thread per shard, i.e.
+//! `shards` concurrent threads. Because every per-circuit optimization
+//! is bit-identical for any selector thread count (the PR 3 contract)
+//! and circuits are independent, the campaign outcome is
+//! **bit-identical to running each circuit serially** regardless of the
+//! shard count, the budget, or which sweep borrowed which thread —
+//! pinned by `tests/campaign_determinism.rs`.
 //!
 //! # Fault tolerance
 //!
@@ -69,10 +72,11 @@ use crate::fingerprint;
 use crate::journal::{self, Journal};
 use crate::objective::Objective;
 use crate::optimizer::{OptimizationResult, Optimizer, SelectorKind, StopReason};
-use crate::parallel;
+use crate::parallel::{self, Grant, SpareThreads};
 use crate::store::{ResultStore, ScenarioKey};
 use statsize_cells::{CellLibrary, VariationModel};
 use statsize_netlist::Netlist;
+use std::cmp::Reverse;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -384,10 +388,14 @@ pub struct CampaignReport {
     pub outcomes: Vec<JobOutcome>,
     /// Shard count actually used (after clamping to the job count).
     pub shards: usize,
-    /// The flat per-shard selector-thread baseline (`total / shards`,
-    /// floored at one) the adaptive per-job grants redistribute around
-    /// — see [`Campaign::threads_per_shard`].
+    /// The selector threads each shard owns while it has jobs
+    /// (`total / shards`, floored at one) — see
+    /// [`Campaign::threads_per_shard`].
     pub threads_per_shard: usize,
+    /// Selector sweeps that ran with threads lent from the spare pool
+    /// (see [`Campaign::with_total_threads`]). Depends on the schedule,
+    /// like the wall clock, so it is runtime metadata only.
+    pub lent_sweeps: usize,
     /// Jobs whose outcome was restored from a checkpoint journal instead
     /// of being re-run (see [`Campaign::run_resumable`]).
     pub resumed: usize,
@@ -444,29 +452,6 @@ pub struct Campaign {
     fallback: Option<SelectorKind>,
     fail_fast: bool,
     corpus_seed: u64,
-}
-
-/// Splits a total selector-thread budget over the jobs in proportion to
-/// their timing-node counts. The normalizer is the sum of the `shards`
-/// *largest* counts: at most `shards` jobs are ever resident at once, so
-/// that is the worst-case concurrent demand, and flooring each share
-/// keeps any such subset within `total` (whenever `total >= shards`;
-/// below that the per-job floor of one thread dominates, exactly like
-/// the flat split it replaces). Jobs too small to earn a whole thread
-/// still get one — the selector caps threads at the candidate count, so
-/// nothing is oversubscribed on their behalf.
-pub(crate) fn adaptive_thread_budgets(
-    node_counts: &[usize],
-    shards: usize,
-    total: usize,
-) -> Vec<usize> {
-    let mut largest: Vec<usize> = node_counts.to_vec();
-    largest.sort_unstable_by(|a, b| b.cmp(a));
-    let denom: usize = largest.iter().take(shards).sum::<usize>().max(1);
-    node_counts
-        .iter()
-        .map(|&n| ((total * n) / denom).max(1))
-        .collect()
 }
 
 /// One isolated optimizer attempt: finished normally, or panicked (the
@@ -583,19 +568,18 @@ impl Campaign {
     }
 
     /// Sets the **total** worker-thread budget shared by all shards.
-    /// Each circuit's selector sweeps are granted a share of it sized by
-    /// the circuit's timing-node count, normalized over the `shards`
-    /// largest jobs (the worst-case concurrently resident set), so the
-    /// concurrent selector-thread count stays within the budget whenever
-    /// `total >= shards` — while big circuits, which dominate the wall
-    /// clock, receive most of the threads instead of a flat
-    /// `total / shards` slice. Every share floors at 1 (a shard cannot
-    /// run with zero selector threads), so a budget smaller than the
-    /// shard count degrades to `shards` concurrent threads — lower the
-    /// shard count if a hard cap below it is needed. The default (`0`)
-    /// grants every shard a single selector thread — circuit-level
-    /// parallelism only. The budget split never changes outcomes, only
-    /// scheduling.
+    /// Each shard owns [`threads_per_shard`](Self::threads_per_shard)
+    /// selector threads while it has jobs; the remainder of the budget,
+    /// and the threads of every shard that finds the job queue empty,
+    /// wait in a spare pool. Every selector sweep takes all spare
+    /// threads when it starts and returns them when it ends, so no part
+    /// of the budget idles while a sweep is running and the concurrent
+    /// selector-thread count stays within the budget whenever
+    /// `total >= shards`. A shard cannot run with zero selector threads,
+    /// so a budget smaller than the shard count degrades to `shards`
+    /// concurrent threads — lower the shard count if a hard cap below it
+    /// is needed. The default (`0`) gives every shard a single selector
+    /// thread. The budget never changes outcomes, only scheduling.
     #[must_use]
     pub fn with_total_threads(mut self, total: usize) -> Self {
         self.total_threads = total;
@@ -647,14 +631,11 @@ impl Campaign {
         self.shards
     }
 
-    /// The *flat* per-shard selector-thread baseline under the current
-    /// budget — `total / shards`, floored at one. The actual grants are
-    /// adaptive (sized by each circuit's node count; see
-    /// [`with_total_threads`](Self::with_total_threads)), but this
-    /// figure remains the reference point reported by
-    /// [`CampaignReport::threads_per_shard`]: it is what every shard
-    /// would receive if all jobs were the same size, and the adaptive
-    /// split redistributes around it without exceeding the same total.
+    /// The selector threads each shard owns while it has jobs under the
+    /// current budget — `total / shards`, floored at one. Sweeps widen
+    /// it with whatever the spare pool holds when they start (see
+    /// [`with_total_threads`](Self::with_total_threads)); this figure is
+    /// the one reported by [`CampaignReport::threads_per_shard`].
     /// When a run caps the shard count to a smaller job count, the
     /// budget is re-divided over the *capped* count, so no part of the
     /// budget is stranded on never-spawned shards.
@@ -735,7 +716,8 @@ impl Campaign {
         }
     }
 
-    /// Optimizes every job, stealing circuits across `shards` workers.
+    /// Optimizes every job, `shards` workers claiming circuits largest
+    /// first.
     ///
     /// Outcomes are returned in job order. Absent deadlines and
     /// fail-fast, they are bit-identical for every shard count and
@@ -793,15 +775,20 @@ impl Campaign {
         let shards = parallel::normalize_threads(self.shards, jobs.len());
         // Divide the budget over the shards that actually spawn, not the
         // configured count — otherwise capping 8 shards to a 3-job corpus
-        // would strand 5 shards' worth of selector threads.
+        // would strand 5 shards' worth of selector threads. What the
+        // even split leaves over starts in the spare pool.
         let threads_per_shard = (self.total_threads / shards).max(1);
-        // Per-job selector-thread grants, sized by circuit node count
-        // under the same total (see `adaptive_thread_budgets`).
-        let node_counts: Vec<usize> = jobs
-            .iter()
-            .map(|j| j.netlist().map_or(0, |n| n.stats().timing_nodes))
-            .collect();
-        let budgets = adaptive_thread_budgets(&node_counts, shards, self.total_threads);
+        let owned = threads_per_shard * shards;
+        let spare = SpareThreads::new(
+            self.total_threads.saturating_sub(owned),
+            self.total_threads.max(owned),
+        );
+        // Claim order: largest circuit first, ties in job order, so the
+        // longest job never starts last on an otherwise idle pool.
+        let mut order: Vec<usize> = (0..jobs.len()).collect();
+        order.sort_by_cached_key(|&idx| {
+            Reverse(jobs[idx].netlist().map_or(0, |n| n.stats().timing_nodes))
+        });
         let fingerprint = self.journal_fingerprint(library);
         let keys: Vec<Option<String>> = jobs
             .iter()
@@ -822,17 +809,20 @@ impl Campaign {
         let halt = AtomicBool::new(false);
         let resumed = AtomicUsize::new(0);
         let cached = AtomicUsize::new(0);
-        // Shards steal whole circuits; outcomes come back in job order,
-        // so the report never depends on which shard ran which circuit.
-        // Each job is panic-isolated twice over: `run_one_isolated`
-        // catches panics at the failure sites it understands, and the
-        // isolated pool converts anything that still escapes into an
-        // error instead of poisoning the other shards.
-        let results = parallel::run_indexed_isolated(
+        // Shards claim whole circuits in `order`; outcomes come back in
+        // job order, so the report never depends on which shard ran which
+        // circuit. A shard's state is the guard over its own threads: it
+        // drops, giving them to the spare pool, as soon as the shard
+        // finds the queue empty. Each job is panic-isolated twice over:
+        // `run_one_isolated` catches panics at the failure sites it
+        // understands, and the isolated pool converts anything that still
+        // escapes into an error instead of poisoning the other shards.
+        let claimed = parallel::run_indexed_isolated(
             shards,
             jobs.len(),
-            || (),
-            |(), idx| {
+            || spare.hold(threads_per_shard),
+            |own, claim| {
+                let idx = order[claim];
                 let job = &jobs[idx];
                 if self.fail_fast && halt.load(Ordering::Relaxed) {
                     return JobOutcome::Skipped(JobSkip {
@@ -887,7 +877,7 @@ impl Campaign {
                     }
                 }
                 let (outcome, final_sizes) =
-                    self.run_one_isolated(job, library, budgets[idx], warm_sizes.as_deref());
+                    self.run_one_isolated(job, library, own, warm_sizes.as_deref());
                 match &outcome {
                     JobOutcome::Completed(o) if !o.degraded => {
                         if let (Some(journal), Some(key)) = (&journal, &keys[idx]) {
@@ -913,8 +903,14 @@ impl Campaign {
                 outcome
             },
         );
+        let mut results: Vec<Option<Result<JobOutcome, String>>> = Vec::new();
+        results.resize_with(jobs.len(), || None);
+        for (claim, result) in claimed.into_iter().enumerate() {
+            results[order[claim]] = Some(result);
+        }
         let outcomes = results
             .into_iter()
+            .map(|r| r.expect("every job is claimed exactly once"))
             .zip(jobs)
             .map(|(result, job)| {
                 result.unwrap_or_else(|message| {
@@ -933,6 +929,7 @@ impl Campaign {
             outcomes,
             shards,
             threads_per_shard,
+            lent_sweeps: spare.lent_sweeps(),
             resumed: resumed.load(Ordering::Relaxed),
             cached: cached.load(Ordering::Relaxed),
             wall: t0.elapsed(),
@@ -952,7 +949,7 @@ impl Campaign {
         &self,
         job: &CampaignJob,
         library: &CellLibrary,
-        threads: usize,
+        threads: &Grant<'_>,
         warm_sizes: Option<&[f64]>,
     ) -> (JobOutcome, Option<Vec<f64>>) {
         let name = &job.name;
@@ -1081,15 +1078,17 @@ impl Campaign {
         }
     }
 
-    /// One panic-isolated optimizer run. Failpoint `campaign::job`
-    /// (detail: job name) forces a panic inside the isolation boundary.
+    /// One panic-isolated optimizer run on the shard's own `threads`,
+    /// each sweep widened by what their spare pool lends it. Failpoint
+    /// `campaign::job` (detail: job name) forces a panic inside the
+    /// isolation boundary.
     fn optimize_attempt(
         &self,
         name: &str,
         circuit: &mut TimedCircuit<'_>,
         selector: SelectorKind,
         deadline: Option<Duration>,
-        threads: usize,
+        threads: &Grant<'_>,
         warm_sizes: Option<&[f64]>,
     ) -> Attempt {
         catch_unwind(AssertUnwindSafe(|| {
@@ -1098,14 +1097,14 @@ impl Campaign {
                 .with_delta_w(self.delta_w)
                 .with_max_iterations(self.max_iterations)
                 .with_min_sensitivity(self.min_sensitivity)
-                .with_threads(threads);
+                .with_threads(threads.threads());
             if let Some(sizes) = warm_sizes {
                 optimizer = optimizer.with_initial_sizes(sizes.to_vec());
             }
             if let Some(budget) = deadline {
                 optimizer = optimizer.with_deadline(budget);
             }
-            optimizer.run(circuit)
+            optimizer.run_lending(circuit, Some(threads.pool()))
         }))
         .map_or_else(
             |payload| Attempt::Panicked(parallel::panic_message(payload.as_ref())),
@@ -1241,28 +1240,6 @@ mod tests {
                 .run(&jobs, &lib),
         );
         assert_eq!(narrow, wide);
-    }
-
-    #[test]
-    fn adaptive_budgets_favor_large_circuits_within_the_total() {
-        let counts = [1000, 10, 100, 500];
-        let budgets = adaptive_thread_budgets(&counts, 2, 8);
-        // Normalizer: the two largest jobs (1000 + 500 = 1500) — the
-        // worst-case concurrently resident set with two shards.
-        assert_eq!(budgets, vec![5, 1, 1, 2]);
-        // Any two jobs resident at once stay within the total.
-        for (i, &a) in budgets.iter().enumerate() {
-            for &b in &budgets[i + 1..] {
-                assert!(a + b <= 8, "{budgets:?}");
-            }
-        }
-        // The zero default degrades to one selector thread per job,
-        // exactly like the flat split it replaces.
-        assert_eq!(adaptive_thread_budgets(&counts, 2, 0), vec![1; 4]);
-        // A uniform corpus reduces to the flat split.
-        assert_eq!(adaptive_thread_budgets(&[50, 50, 50, 50], 4, 8), vec![2; 4]);
-        // Degenerate: no jobs.
-        assert_eq!(adaptive_thread_budgets(&[], 3, 8), Vec::<usize>::new());
     }
 
     #[test]

@@ -2,10 +2,11 @@
 
 use crate::brute::BruteForceSelector;
 use crate::circuit::TimedCircuit;
-use crate::deadline::Deadline;
+use crate::deadline::{Deadline, DeadlineExceeded};
 use crate::det_opt::DeterministicSelector;
 use crate::heuristic::HeuristicSelector;
 use crate::objective::Objective;
+use crate::parallel::{Grant, SpareThreads};
 use crate::pruned::{PruneStats, PrunedSelector};
 use crate::selection::Selection;
 use statsize_netlist::GateId;
@@ -368,6 +369,18 @@ impl Optimizer {
         already_committed: usize,
         deadline: Deadline,
     ) -> OptimizerStep {
+        self.step_lending(circuit, already_committed, deadline, None)
+    }
+
+    /// [`step`](Self::step), with the selector sweep widened by every
+    /// thread `spare` holds when the sweep starts (see [`SpareThreads`]).
+    pub(crate) fn step_lending(
+        &self,
+        circuit: &mut TimedCircuit<'_>,
+        already_committed: usize,
+        deadline: Deadline,
+        spare: Option<&SpareThreads>,
+    ) -> OptimizerStep {
         let mut records = Vec::new();
         if already_committed >= self.max_iterations {
             return OptimizerStep {
@@ -390,37 +403,10 @@ impl Optimizer {
             }
         }
         let t0 = Instant::now();
-        let k = self.moves_per_iteration;
         // The statistical sweep runs under the deadline; an expiry
         // mid-sweep discards that sweep's partial results and stops the
         // descent with the committed trajectory intact.
-        let swept: Result<(Vec<Selection>, Option<PruneStats>), _> = match self.selector {
-            SelectorKind::Deterministic => Ok((
-                DeterministicSelector::new(self.delta_w)
-                    .select(circuit)
-                    .into_iter()
-                    .collect(),
-                None,
-            )),
-            SelectorKind::BruteForce => BruteForceSelector::new(self.delta_w)
-                .with_threads(self.threads)
-                .with_deadline(deadline)
-                .try_select_top_k(circuit, self.objective, k)
-                .map(|s| (s, None)),
-            SelectorKind::Pruned => PrunedSelector::new(self.delta_w)
-                .with_threads(self.threads)
-                .with_deadline(deadline)
-                .try_select_top_k_with_stats(circuit, self.objective, k)
-                .map(|(s, stats)| (s, Some(stats))),
-            SelectorKind::Heuristic { lookahead } => {
-                HeuristicSelector::new(self.delta_w, lookahead)
-                    .with_threads(self.threads)
-                    .with_deadline(deadline)
-                    .try_select(circuit, self.objective)
-                    .map(|s| (s.into_iter().collect(), None))
-            }
-        };
-        let Ok((selections, prune)) = swept else {
+        let Ok((selections, prune)) = self.sweep(circuit, deadline, spare) else {
             return OptimizerStep {
                 records,
                 stop: Some(StopReason::DeadlineExpired),
@@ -471,6 +457,51 @@ impl Optimizer {
         }
     }
 
+    /// One selector sweep under `deadline`. A statistical sweep runs on
+    /// the configured threads plus every thread `spare` lends it; the
+    /// loan returns to the pool when the sweep ends, however it ends.
+    /// The deterministic selector is a single STA pass and borrows
+    /// nothing.
+    pub(crate) fn sweep(
+        &self,
+        circuit: &TimedCircuit<'_>,
+        deadline: Deadline,
+        spare: Option<&SpareThreads>,
+    ) -> Result<(Vec<Selection>, Option<PruneStats>), DeadlineExceeded> {
+        let k = self.moves_per_iteration;
+        let loan = match self.selector {
+            SelectorKind::Deterministic => None,
+            _ => spare.map(SpareThreads::lend),
+        };
+        let threads = self.threads + loan.as_ref().map_or(0, Grant::threads);
+        match self.selector {
+            SelectorKind::Deterministic => Ok((
+                DeterministicSelector::new(self.delta_w)
+                    .select(circuit)
+                    .into_iter()
+                    .collect(),
+                None,
+            )),
+            SelectorKind::BruteForce => BruteForceSelector::new(self.delta_w)
+                .with_threads(threads)
+                .with_deadline(deadline)
+                .try_select_top_k(circuit, self.objective, k)
+                .map(|s| (s, None)),
+            SelectorKind::Pruned => PrunedSelector::new(self.delta_w)
+                .with_threads(threads)
+                .with_deadline(deadline)
+                .try_select_top_k_with_stats(circuit, self.objective, k)
+                .map(|(s, stats)| (s, Some(stats))),
+            SelectorKind::Heuristic { lookahead } => {
+                HeuristicSelector::new(self.delta_w, lookahead)
+                    .with_threads(threads)
+                    .with_deadline(deadline)
+                    .try_select(circuit, self.objective)
+                    .map(|s| (s.into_iter().collect(), None))
+            }
+        }
+    }
+
     /// Runs coordinate descent to convergence or budget exhaustion: a
     /// [`step`](Self::step) loop under one run-wide deadline. With
     /// [`with_initial_sizes`](Self::with_initial_sizes) configured, the
@@ -482,6 +513,16 @@ impl Optimizer {
     /// Panics if a configured warm-start vector does not match the
     /// circuit's gate count or contains an invalid width.
     pub fn run(&self, circuit: &mut TimedCircuit<'_>) -> OptimizationResult {
+        self.run_lending(circuit, None)
+    }
+
+    /// [`run`](Self::run), each sweep widened by the threads `spare`
+    /// holds when it starts (see [`step_lending`](Self::step_lending)).
+    pub(crate) fn run_lending(
+        &self,
+        circuit: &mut TimedCircuit<'_>,
+        spare: Option<&SpareThreads>,
+    ) -> OptimizationResult {
         if let Some(sizes) = &self.initial_sizes {
             circuit.set_sizes(sizes);
         }
@@ -491,7 +532,7 @@ impl Optimizer {
         let deadline = self.deadline.map_or_else(Deadline::none, Deadline::after);
         let mut iterations = Vec::new();
         let stop = loop {
-            let round = self.step(circuit, iterations.len(), deadline);
+            let round = self.step_lending(circuit, iterations.len(), deadline, spare);
             iterations.extend(round.records);
             if let Some(reason) = round.stop {
                 break reason;

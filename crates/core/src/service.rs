@@ -54,7 +54,6 @@
 //! revives the session: snapshots are whole-state clones, immune to
 //! later corruption.
 
-use crate::campaign::adaptive_thread_budgets;
 use crate::circuit::{TimedCircuit, TimingState};
 use crate::deadline::Deadline;
 use crate::failpoint;
@@ -788,6 +787,25 @@ enum Slot {
     InFlight,
 }
 
+/// Splits a total selector-thread budget over the admitted sessions in
+/// proportion to their designs' timing-node counts. The normalizer is
+/// the sum of the `workers` *largest* counts: at most `workers` sessions
+/// are ever resident at once, so that is the worst-case concurrent
+/// demand, and flooring each share keeps any such subset within `total`
+/// (whenever `total >= workers`; below that the per-session floor of one
+/// thread dominates). Sessions too small to earn a whole thread still get
+/// one — the selector caps threads at the candidate count, so nothing is
+/// oversubscribed on their behalf.
+fn adaptive_thread_budgets(node_counts: &[usize], workers: usize, total: usize) -> Vec<usize> {
+    let mut largest: Vec<usize> = node_counts.to_vec();
+    largest.sort_unstable_by(|a, b| b.cmp(a));
+    let denom: usize = largest.iter().take(workers).sum::<usize>().max(1);
+    node_counts
+        .iter()
+        .map(|&n| ((total * n) / denom).max(1))
+        .collect()
+}
+
 /// Named designs and sessions, plus the batch scheduler.
 ///
 /// `batch` is where the campaign machinery is reused: each *session*
@@ -927,10 +945,12 @@ impl SessionStore {
     }
 
     /// Sets the total worker-thread budget for [`batch`](Self::batch)
-    /// (default `0`: one worker, fully serial batches). The budget is
-    /// shared [`Campaign::with_total_threads`](crate::Campaign::with_total_threads)-style:
-    /// it caps concurrent sessions *and* is split across the admitted
-    /// sessions' selector sweeps in proportion to design size. The
+    /// (default `0`: one worker, fully serial batches). The budget caps
+    /// concurrent sessions *and* is split across the admitted sessions'
+    /// selector sweeps in proportion to design size. The split is
+    /// static — unlike a campaign's spare-thread pool
+    /// ([`Campaign::with_total_threads`](crate::Campaign::with_total_threads)),
+    /// so [`stats`](Self::stats) can report each session's grant. The
     /// budget never changes any response, only scheduling.
     #[must_use]
     pub fn with_total_threads(mut self, total: usize) -> Self {
@@ -1132,7 +1152,7 @@ impl SessionStore {
         // Admission control: at most `total_threads` sessions run
         // concurrently (minimum one worker), and the same budget is
         // split over the admitted sessions' selector sweeps by design
-        // size — the campaign's adaptive split, reused verbatim.
+        // size (see `adaptive_thread_budgets`).
         let workers = parallel::normalize_threads(self.total_threads.max(1), work.len());
         self.last_batch = Some(BatchStats {
             requests: requests.len(),
@@ -1778,5 +1798,26 @@ mod tests {
             .open("b", "c17", optimizer())
             .expect("open b after disarm");
         assert_eq!(store.stats().counters.rejected_sessions, 2);
+    }
+
+    #[test]
+    fn adaptive_budgets_favor_large_circuits_within_the_total() {
+        let counts = [1000, 10, 100, 500];
+        let budgets = adaptive_thread_budgets(&counts, 2, 8);
+        // Normalizer: the two largest sessions (1000 + 500 = 1500) — the
+        // worst-case concurrently resident set with two workers.
+        assert_eq!(budgets, vec![5, 1, 1, 2]);
+        // Any two sessions resident at once stay within the total.
+        for (i, &a) in budgets.iter().enumerate() {
+            for &b in &budgets[i + 1..] {
+                assert!(a + b <= 8, "{budgets:?}");
+            }
+        }
+        // The zero default degrades to one selector thread per session.
+        assert_eq!(adaptive_thread_budgets(&counts, 2, 0), vec![1; 4]);
+        // Equal designs reduce to the flat split.
+        assert_eq!(adaptive_thread_budgets(&[50, 50, 50, 50], 4, 8), vec![2; 4]);
+        // Degenerate: no sessions.
+        assert_eq!(adaptive_thread_budgets(&[], 3, 8), Vec::<usize>::new());
     }
 }

@@ -176,8 +176,9 @@ impl Dist {
 
     /// [`from_raw`](Dist::from_raw) for kernels that already accumulated
     /// `Σ mass` in index order while writing the buffer: skips the
-    /// renormalization's own summation pass in the (overwhelmingly
-    /// common) no-trim case. `untrimmed_total` must be bit-identical to
+    /// renormalization's own summation pass when no tail is trimmed.
+    /// That is the minority case: most normalizations in a sizing sweep
+    /// do trim, and re-sum. `untrimmed_total` must be bit-identical to
     /// `mass.iter().sum()` — the left-fold over the full buffer — which
     /// holds when the kernel sums exactly the values it pushes, in push
     /// order. When tails do get trimmed the total is recomputed, so
@@ -542,8 +543,10 @@ fn normalize_raw(mass: &mut Vec<f64>, offset: i64) -> i64 {
 }
 
 /// [`normalize_raw`] for kernels that already accumulated `Σ mass` in
-/// index order while writing the buffer: skips the summation pass in the
-/// (overwhelmingly common) no-trim case. `untrimmed_total` must be
+/// index order while writing the buffer: skips the summation pass when no
+/// tail is trimmed. Most normalizations in a sizing sweep do trim
+/// (measured: 94% on a gen1200 descent at dt = 1, 82% on c1355 at
+/// dt = 0.25), so the skip saves the minority. `untrimmed_total` must be
 /// bit-identical to `mass.iter().sum()` — the left-fold over the full
 /// buffer — which holds when the kernel folds exactly the values it
 /// wrote, in index order. When tails do get trimmed the total is

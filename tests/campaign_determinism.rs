@@ -72,6 +72,47 @@ fn report_is_bit_identical_across_shard_counts() {
 }
 
 #[test]
+fn lent_threads_keep_the_largest_last_corpus_bit_identical() {
+    // The largest circuit listed last: shards claim it first, and once
+    // the other shard has drained the small jobs, its threads are lent
+    // to the big circuit's remaining sweeps.
+    let jobs = vec![
+        CampaignJob::new("c17", bench::c17()),
+        CampaignJob::new("gen60", generate_scaled(&ScaledProfile::with_nodes(60), 1)),
+        CampaignJob::new(
+            "gen400",
+            generate_scaled(&ScaledProfile::with_nodes(400), 1),
+        ),
+    ];
+    let lib = CellLibrary::synthetic_180nm();
+    let campaign = reference_campaign();
+    let keys = |report: &statsize::CampaignReport| -> Vec<_> {
+        report
+            .outcomes
+            .iter()
+            .map(|o| {
+                o.completed()
+                    .expect("every job completes")
+                    .deterministic_key()
+            })
+            .collect()
+    };
+    let serial = campaign.with_shards(1).run(&jobs, &lib);
+    assert_eq!(serial.lent_sweeps, 0, "a lone shard has no one to lend to");
+    for total in [2usize, 4] {
+        let lent = campaign
+            .with_shards(2)
+            .with_total_threads(total)
+            .run(&jobs, &lib);
+        assert_eq!(keys(&serial), keys(&lent), "budget {total}");
+        assert!(
+            lent.lent_sweeps > 0,
+            "budget {total}: the drained shard's threads were never lent"
+        );
+    }
+}
+
+#[test]
 fn disk_corpus_matches_the_in_memory_corpus() {
     // Writing the corpus to .bench files and campaigning over the loaded
     // copies must reproduce the in-memory outcomes exactly: the format
