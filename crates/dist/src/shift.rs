@@ -13,17 +13,30 @@
 //!
 //! The maximum horizontal CDF distance `Δ = max_p δ(p)` measured on
 //! *step* CDFs ([`lattice_shift_bound`], [`max_percentile_shift`]) is a
-//! multiple of `dt` and satisfies the paper's theorems **exactly** on the
-//! lattice: convolution with a common delay and the independent max/min
-//! cannot increase it, because a whole-bin dominance `F′(k) ≤ F(k + j)`
-//! at every lattice index is preserved verbatim by those operators. It is
-//! at most one lattice step looser than the interpolated shift, and it
-//! *dominates* the interpolated shift [`percentile_shift_at`] at every
-//! `p`: whole-bin dominance at shift `j·dt` transfers to the interpolated
-//! CDFs node-for-node (the grids are aligned). Fractional shifts measured
-//! on interpolated CDFs enjoy no such preservation law (sub-bin
-//! interpolation kinks), which is exactly why the pruned selector's front
-//! bounds use the whole-bin measure.
+//! multiple of `dt` and, in exact arithmetic, satisfies the paper's
+//! theorems on the lattice: convolution with a common delay and the
+//! independent max/min cannot increase it, because a whole-bin dominance
+//! `F′(k) ≤ F(k + j)` at every lattice index is preserved verbatim by
+//! those operators. It is at most one lattice step looser than the
+//! interpolated shift, and it *dominates* the interpolated shift
+//! [`percentile_shift_at`] at every `p`: whole-bin dominance at shift
+//! `j·dt` transfers to the interpolated CDFs node-for-node (the grids
+//! are aligned). Fractional shifts measured on interpolated CDFs enjoy
+//! no such preservation law (sub-bin interpolation kinks), which is
+//! exactly why the pruned selector's front bounds use the whole-bin
+//! measure.
+//!
+//! The implemented operators trim up to `1e-12` of mass from each tail
+//! and renormalize, and the walk below merges levels closer than
+//! `1e-10`. Both act in the extreme tails, so there the measured bound
+//! is not preserved: over the whole range a downstream node's bound can
+//! exceed its fan-in's by 1–3 bins (at 43 of 155,607 inherited front
+//! nodes of a gen1200 descent at dt 1, and 161 of 7,558 of two c1355
+//! iterations at dt 0.25). Every excess measured lay outside
+//! the body window `[1e-8, 1 − 1e-8]`; on that window the bound held at
+//! every node. Percentile objectives read a level inside the window, and
+//! the levels outside it weigh too little to move a mean (see the pruned
+//! selector's soundness note).
 
 use crate::lattice::Dist;
 
@@ -50,8 +63,10 @@ pub fn max_percentile_shift(a: &Dist, b: &Dist) -> f64 {
 ///
 /// * every downstream lattice operation (convolution with a common
 ///   delay, independent max/min with common side inputs) maps the pair
-///   to a new pair whose bound is ≤ `max(bound, 0)` — Theorems 1–3,
-///   exact on the lattice;
+///   to a new pair whose shift on the body levels `[1e-8, 1 − 1e-8]` is
+///   ≤ `max(bound, 0)` — Theorems 1–3 on the lattice. In the extreme
+///   tails trimming can lift the measured bound of the new pair by a
+///   few bins (see the module docs);
 /// * `percentile_shift_at(base, perturbed, p) ≤ bound` for every `p`,
 ///   and likewise for the mean improvement (the mean is the integral of
 ///   the interpolated quantile function).

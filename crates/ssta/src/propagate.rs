@@ -518,6 +518,17 @@ impl<'a> ConeWalk<'a> {
         self.computed.contains(&node)
     }
 
+    /// True when one of `node`'s in-edges runs through an overridden
+    /// gate. Every other node's arrival is built from its fan-in by
+    /// convolutions with unchanged delays and independent maxes, the
+    /// operators Theorems 1–3 bound.
+    pub fn has_overridden_in_edge(&self, node: TimingNode) -> bool {
+        self.graph
+            .in_edges(node)
+            .iter()
+            .any(|e| e.gate.is_some_and(|g| self.overrides.get(g).is_some()))
+    }
+
     /// Number of nodes computed so far.
     pub fn computed_count(&self) -> usize {
         self.computed.len()
@@ -602,6 +613,12 @@ mod tests {
         // Net 10 is outside the cone.
         let n10 = c.graph.node_of_net(c.nl.find_net("10").unwrap());
         assert!(!walk.is_computed(n10));
+        // Only the overridden gate's own output has an overridden in-edge.
+        let node = |name| c.graph.node_of_net(c.nl.find_net(name).unwrap());
+        assert!(walk.has_overridden_in_edge(node("11")));
+        for name in ["16", "19", "22", "23", "10"] {
+            assert!(!walk.has_overridden_in_edge(node(name)), "net {name}");
+        }
     }
 
     #[test]
