@@ -8,8 +8,7 @@
 //!     [--corpus-dir=DIR] [--profiles=c17,c432,gen12000] [--shards=N] \
 //!     [--out=PATH] [--iters=N] [--dt=PS] [--seed=N] [--threads=N] \
 //!     [--selector=pruned|brute|deterministic|heuristic:K] [--timing] \
-//!     [--journal=PATH | --resume=PATH] [--deadline-ms=N] \
-//!     [--fallback=SELECTOR] [--fail-fast] \
+//!     [--deadline-ms=N] [--fallback=SELECTOR] [--fail-fast] \
 //!     [--store=PATH | --store-readonly=PATH] [--no-store]
 //! ```
 //!
@@ -28,15 +27,8 @@
 //! * `--out=PATH` — report path (default `campaign_report.json`).
 //! * `--timing` — include wall-clock fields in the report. Off by
 //!   default so the report bytes are **bit-identical across shard
-//!   counts and across checkpoint/resume**; timings always print to
-//!   stdout.
-//! * `--journal=PATH` — checkpoint completed jobs to a fresh journal at
-//!   `PATH` as the campaign runs.
-//! * `--resume=PATH` — resume from an existing journal: jobs already on
-//!   record are restored bit-identically instead of re-run, and new
-//!   completions keep appending to the same file. Corrupt journal lines
-//!   are quarantined (their jobs re-run); a corrupt header is a hard
-//!   error.
+//!   counts and across an interrupted-and-repeated run** (see
+//!   `--store`); timings always print to stdout.
 //! * `--deadline-ms=N` — cooperative per-job deadline; overrunning jobs
 //!   report `timed_out`.
 //! * `--fallback=SELECTOR` — on deadline overrun, retry the job once
@@ -51,20 +43,24 @@
 //!   served from the store (`cached` status) without running the
 //!   optimizer; a job matching a stored scenario except for the
 //!   objective or `--dt` warm-starts from the stored sizing vector
-//!   (`warm_started` in the report). Torn trailing lines are
-//!   quarantined; their scenarios re-run and re-record.
+//!   (`warm_started` in the report). Completed jobs are recorded as they
+//!   finish, so this is also checkpoint/resume: repeating an interrupted
+//!   run with the same `--store` replays its completed jobs and runs
+//!   only the rest, and the report is byte-identical to an
+//!   uninterrupted run's. Torn trailing lines are quarantined; their
+//!   scenarios re-run and re-record. A corrupt header is a hard error.
 //! * `--store-readonly=PATH` — consult an existing store (hard error if
 //!   missing) without recording new results.
 //! * `--no-store` — ignore any `--store`/`--store-readonly` earlier on
 //!   the command line; run every job cold.
 //!
 //! Exit status: `2` for hard errors (bad arguments, unreadable corpus
-//! directory or journal, unwritable report), `1` when any job failed,
+//! directory or store, unwritable report), `1` when any job failed,
 //! timed out, or violated the optimizer's improvement invariant, `0`
 //! otherwise. Quarantined (`skipped`) jobs alone do not fail the run
 //! unless `--fail-fast` is set.
 
-use statsize::{Campaign, CampaignJob, JobOutcome, Journal, Objective, ResultStore, SelectorKind};
+use statsize::{Campaign, CampaignJob, JobOutcome, Objective, ResultStore, SelectorKind};
 use statsize_bench::emit::{ps_as_ns, Table};
 use statsize_bench::{campaign, suite};
 use statsize_cells::CellLibrary;
@@ -83,8 +79,6 @@ struct Args {
     seed: u64,
     selector: SelectorKind,
     timing: bool,
-    journal: Option<String>,
-    resume: Option<String>,
     deadline_ms: Option<u64>,
     fallback: Option<SelectorKind>,
     fail_fast: bool,
@@ -99,7 +93,7 @@ fn usage(arg: &str) -> ! {
          usage: --corpus-dir=DIR --profiles=c17,c432,gen12000 --shards=N \
          --out=PATH --iters=N --dt=PS --seed=N --threads=N \
          --selector=pruned|brute|deterministic|heuristic:K --timing \
-         --journal=PATH --resume=PATH --deadline-ms=N --fallback=SELECTOR \
+         --deadline-ms=N --fallback=SELECTOR \
          --fail-fast --store=PATH --store-readonly=PATH --no-store"
     );
     std::process::exit(2);
@@ -129,8 +123,6 @@ fn parse_args() -> Args {
         seed: 1,
         selector: SelectorKind::Pruned,
         timing: false,
-        journal: None,
-        resume: None,
         deadline_ms: None,
         fallback: None,
         fail_fast: false,
@@ -159,10 +151,6 @@ fn parse_args() -> Args {
             args.selector = parse_selector(v);
         } else if arg == "--timing" {
             args.timing = true;
-        } else if let Some(v) = arg.strip_prefix("--journal=") {
-            args.journal = Some(v.to_string());
-        } else if let Some(v) = arg.strip_prefix("--resume=") {
-            args.resume = Some(v.to_string());
         } else if let Some(v) = arg.strip_prefix("--deadline-ms=") {
             args.deadline_ms = Some(v.parse().unwrap_or_else(|_| usage(&arg)));
         } else if let Some(v) = arg.strip_prefix("--fallback=") {
@@ -178,10 +166,6 @@ fn parse_args() -> Args {
         } else {
             usage(&arg);
         }
-    }
-    if args.journal.is_some() && args.resume.is_some() {
-        eprintln!("error: pass either --journal (fresh) or --resume (existing), not both");
-        std::process::exit(2);
     }
     if args.store.is_some() && args.store_readonly.is_some() {
         eprintln!("error: pass either --store (read-write) or --store-readonly, not both");
@@ -260,33 +244,8 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
 
-    // Checkpoint journal: fresh (--journal) or resumed (--resume).
-    let mut journal = match (&args.journal, &args.resume) {
-        (Some(path), None) => match Journal::create(path) {
-            Ok(j) => Some(j),
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::from(2);
-            }
-        },
-        (None, Some(path)) => match Journal::resume(path) {
-            Ok(j) => {
-                for err in j.corrupt_entries() {
-                    eprintln!("warning: {err}; the affected job will re-run");
-                }
-                println!("resuming from {} ({} jobs on record)", path, j.len());
-                Some(j)
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                return ExitCode::from(2);
-            }
-        },
-        _ => None,
-    };
-
-    // Cross-campaign result store: read-write (--store, created if
-    // absent) or read-only (--store-readonly, must exist).
+    // Result store: read-write (--store, created if absent) or
+    // read-only (--store-readonly, must exist).
     let mut store = match (&args.store, &args.store_readonly) {
         (Some(path), None) => match ResultStore::open_or_create(path) {
             Ok(s) => Some(s),
@@ -324,8 +283,8 @@ fn main() -> ExitCode {
         .with_total_threads(args.threads)
         .with_fail_fast(args.fail_fast)
         // The corpus seed shapes every generated profile, so it is part
-        // of the journal fingerprint: resuming under a different seed
-        // must not restore this run's results.
+        // of the scenario key: a store run under a different seed must
+        // not replay this run's results.
         .with_corpus_seed(args.seed);
     if let Some(ms) = args.deadline_ms {
         campaign_cfg = campaign_cfg.with_job_deadline(Duration::from_millis(ms));
@@ -333,12 +292,8 @@ fn main() -> ExitCode {
     if let Some(fallback) = args.fallback {
         campaign_cfg = campaign_cfg.with_deadline_fallback(fallback);
     }
-    let report = campaign_cfg.run_with_store(
-        &jobs,
-        &CellLibrary::synthetic_180nm(),
-        journal.as_mut(),
-        store.as_mut(),
-    );
+    let report =
+        campaign_cfg.run_with_store(&jobs, &CellLibrary::synthetic_180nm(), None, store.as_mut());
 
     // Human-readable summary (always includes wall clocks).
     let mut table = Table::new([
@@ -432,15 +387,14 @@ fn main() -> ExitCode {
     print!("{}", table.render());
     let counts = report.counts();
     println!(
-        "{} jobs ({} completed, {} degraded, {} failed, {} timed out, {} skipped, {} resumed, \
-         {} cached), {} shards x {} selector threads, {} sweeps on lent threads, total {:.1} ms",
+        "{} jobs ({} completed, {} degraded, {} failed, {} timed out, {} skipped, {} cached), \
+         {} shards x {} selector threads, {} sweeps on lent threads, total {:.1} ms",
         report.outcomes.len(),
         counts.completed,
         counts.degraded,
         counts.failed,
         counts.timed_out,
         counts.skipped,
-        report.resumed,
         report.cached,
         report.shards,
         report.threads_per_shard,

@@ -7,7 +7,7 @@
 //! boundaries — so CI can diff reports directly (including a resumed
 //! report against an uninterrupted one). `include_timing == true`
 //! appends the schedule-dependent extras for human consumption:
-//! per-circuit and total wall clocks, shard metadata, the resumed-job
+//! per-circuit and total wall clocks, shard metadata, the cached-job
 //! count, and the pruned/completed split (whose sum, `candidates`, is
 //! deterministic and always present).
 //!
@@ -118,7 +118,6 @@ pub fn render_report(report: &CampaignReport, objective: &str, include_timing: b
         doc.integer("shards", report.shards as u64)
             .integer("threads_per_shard", report.threads_per_shard as u64)
             .integer("lent_sweeps", report.lent_sweeps as u64)
-            .integer("resumed", report.resumed as u64)
             .integer("cached", report.cached as u64);
     }
     doc.array("results", &results);
@@ -153,7 +152,6 @@ mod tests {
         assert!(json.contains("\"objective\":\"T(99%)\""));
         assert!(json.contains("\"completed\":1"), "document-level tallies");
         assert!(!json.contains("shards"), "schedule metadata is timing-only");
-        assert!(!json.contains("resumed"), "resume count is timing-only");
         assert!(
             !json.contains("lent_sweeps"),
             "thread lending is timing-only"
@@ -190,7 +188,6 @@ mod tests {
             json.contains("\"lent_sweeps\":0"),
             "one shard has no one to lend to"
         );
-        assert!(json.contains("\"resumed\":0"));
         assert!(json.contains("\"cached\":0"));
         assert!(json.contains("\"pruned\":"));
     }

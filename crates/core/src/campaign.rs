@@ -41,9 +41,10 @@
 //! to a cheaper selector ([`Campaign::with_deadline_fallback`]) before a
 //! job is marked [`JobOutcome::TimedOut`]; corpus files that failed to
 //! load arrive pre-quarantined ([`CampaignJob::quarantined`]) and report
-//! as [`JobOutcome::Skipped`]. Completed jobs can be checkpointed to a
-//! [`Journal`](crate::Journal) and skipped bit-identically on a resumed
-//! run ([`Campaign::run_resumable`]). Deadlines and
+//! as [`JobOutcome::Skipped`]. Completed jobs are recorded in a
+//! [`ResultStore`] as they finish ([`Campaign::run_with_store`]), so an
+//! interrupted campaign re-run against the same store replays them
+//! bit-identically as exact hits and runs only the rest. Deadlines and
 //! [fail-fast](Campaign::with_fail_fast) are inherently
 //! schedule-dependent and are therefore excluded from the determinism
 //! contract above; everything else keeps it.
@@ -69,7 +70,6 @@
 use crate::circuit::TimedCircuit;
 use crate::failpoint;
 use crate::fingerprint;
-use crate::journal::{self, Journal};
 use crate::objective::Objective;
 use crate::optimizer::{OptimizationResult, Optimizer, SelectorKind, StopReason};
 use crate::parallel::{self, Grant, SpareThreads};
@@ -77,6 +77,7 @@ use crate::store::{ResultStore, ScenarioKey};
 use statsize_cells::{CellLibrary, VariationModel};
 use statsize_netlist::Netlist;
 use std::cmp::Reverse;
+use std::convert::Infallible;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -176,9 +177,9 @@ pub struct CircuitOutcome {
     pub completed: usize,
     /// Whether this outcome came from the one-shot deadline-fallback
     /// selector ([`Campaign::with_deadline_fallback`]) after the primary
-    /// selector overran its deadline. Degraded outcomes depend on wall
-    ///-clock timing and are excluded from determinism comparisons and
-    /// from the checkpoint journal.
+    /// selector overran its deadline. Degraded outcomes depend on
+    /// wall-clock timing and are excluded from determinism comparisons
+    /// and from the result store.
     pub degraded: bool,
     /// Whether the optimizer was warm-started from a sizing vector found
     /// in the result store ([`Campaign::run_with_store`]) instead of
@@ -396,9 +397,6 @@ pub struct CampaignReport {
     /// (see [`Campaign::with_total_threads`]). Depends on the schedule,
     /// like the wall clock, so it is runtime metadata only.
     pub lent_sweeps: usize,
-    /// Jobs whose outcome was restored from a checkpoint journal instead
-    /// of being re-run (see [`Campaign::run_resumable`]).
-    pub resumed: usize,
     /// Jobs served from the result store's exact-key cache without an
     /// optimizer sweep (see [`Campaign::run_with_store`]).
     pub cached: usize,
@@ -443,9 +441,7 @@ pub struct Campaign {
     selector: SelectorKind,
     delta_w: f64,
     max_iterations: usize,
-    min_sensitivity: f64,
     dt: f64,
-    variation: VariationModel,
     shards: usize,
     total_threads: usize,
     job_deadline: Option<Duration>,
@@ -463,18 +459,17 @@ enum Attempt {
 
 impl Campaign {
     /// Creates a campaign with the paper's optimizer defaults
-    /// (`Δw = 1.0`, 1000 iterations max), the paper's variation model, a
-    /// 2 ps lattice, one shard, and a total thread budget equal to the
-    /// shard count. No deadline, no fallback, keep-going on faults.
+    /// (`Δw = 1.0`, 1000 iterations max, the optimizer's default
+    /// sensitivity floor), the paper's variation model, a 2 ps lattice,
+    /// one shard, and a total thread budget equal to the shard count. No
+    /// deadline, no fallback, keep-going on faults.
     pub fn new(objective: Objective, selector: SelectorKind) -> Self {
         Self {
             objective,
             selector,
             delta_w: 1.0,
             max_iterations: 1000,
-            min_sensitivity: 0.0,
             dt: 2.0,
-            variation: VariationModel::paper_default(),
             shards: 1,
             total_threads: 0,
             job_deadline: None,
@@ -486,11 +481,10 @@ impl Campaign {
 
     /// Records the RNG seed the campaign's corpus was generated from
     /// (default 0). The seed does not change how any individual netlist
-    /// is optimized — netlist *content* is hashed into every journal key
+    /// is optimized — netlist *content* is hashed into every scenario key
     /// separately — but it is part of the campaign's identity in the
     /// result store: two campaigns over differently-seeded corpora must
-    /// not share journal entries even for jobs whose generated netlists
-    /// happen to collide by name.
+    /// not share records even where their generated netlists collide.
     #[must_use]
     pub fn with_corpus_seed(mut self, seed: u64) -> Self {
         self.corpus_seed = seed;
@@ -524,22 +518,6 @@ impl Campaign {
         self
     }
 
-    /// Treats sensitivities at or below `threshold` as converged (see
-    /// [`Optimizer::with_min_sensitivity`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threshold` is negative or non-finite.
-    #[must_use]
-    pub fn with_min_sensitivity(mut self, threshold: f64) -> Self {
-        assert!(
-            threshold.is_finite() && threshold >= 0.0,
-            "threshold must be finite and non-negative, got {threshold}"
-        );
-        self.min_sensitivity = threshold;
-        self
-    }
-
     /// Sets the lattice step (ps) used for every circuit.
     ///
     /// # Panics
@@ -549,13 +527,6 @@ impl Campaign {
     pub fn with_dt(mut self, dt: f64) -> Self {
         assert!(dt.is_finite() && dt > 0.0, "dt must be positive, got {dt}");
         self.dt = dt;
-        self
-    }
-
-    /// Sets the variation model used for every circuit.
-    #[must_use]
-    pub fn with_variation(mut self, variation: VariationModel) -> Self {
-        self.variation = variation;
         self
     }
 
@@ -643,71 +614,30 @@ impl Campaign {
         (self.total_threads / self.shards).max(1)
     }
 
-    /// An FNV-1a hash of every outcome-affecting knob (objective,
-    /// selector, Δw, iteration budget, sensitivity floor, lattice step,
-    /// variation model, deadline, fallback) plus the [corpus
-    /// seed](Self::with_corpus_seed). Scheduling knobs — shards,
-    /// thread budget, fail-fast — are excluded: they never change
-    /// outcomes. Journal keys embed this hash (widened by the cell
-    /// library via [`journal_fingerprint`](Self::journal_fingerprint)),
-    /// so a resumed campaign only reuses outcomes produced under an
-    /// identical configuration.
-    pub fn fingerprint(&self) -> u64 {
-        let repr = format!(
-            "{:?}|{:?}|{}|{}|{}|{}|{:?}|{:?}|{:?}|{}",
-            self.objective,
-            self.selector,
-            self.delta_w.to_bits(),
-            self.max_iterations,
-            self.min_sensitivity.to_bits(),
-            self.dt.to_bits(),
-            self.variation,
-            self.job_deadline,
-            self.fallback,
-            self.corpus_seed,
-        );
-        crate::wire::fnv1a(repr.as_bytes())
-    }
-
-    /// The configuration hash journal keys actually embed: the
-    /// [`fingerprint`](Self::fingerprint) widened by the cell library
-    /// the campaign runs against. Every delay in every outcome is a
-    /// function of the library's cells, so outcomes recorded under one
-    /// library must never resume a campaign run under another — even
-    /// when every pure-campaign knob matches.
-    pub fn journal_fingerprint(&self, library: &CellLibrary) -> u64 {
-        let repr = format!(
-            "{:016x}|{:016x}",
-            self.fingerprint(),
-            fingerprint::library_fingerprint(library)
-        );
-        crate::wire::fnv1a(repr.as_bytes())
-    }
-
     /// The full content address of one job under this campaign — the
-    /// [`ResultStore`] key. Unlike the journal's
-    /// per-job key, it does **not** embed the job
-    /// *name*: the store is content-addressed, so renaming a corpus file
-    /// still hits. The campaign's outcome-affecting knobs are split into
-    /// the components partial (warm-start) matching needs — `dt` and the
+    /// [`ResultStore`] key. It does **not** embed the job *name*: the
+    /// store is content-addressed, so renaming a corpus file still hits.
+    /// The campaign's outcome-affecting knobs are split into the
+    /// components partial (warm-start) matching needs — `dt` and the
     /// objective stand alone; the rest fold into one stable
     /// configuration string (selector, `Δw`, iteration budget,
     /// sensitivity floor, deadline, fallback). Scheduling knobs (shards,
-    /// thread budget, fail-fast) are excluded, exactly as in
-    /// [`fingerprint`](Self::fingerprint).
+    /// thread budget, fail-fast) are excluded: they never change
+    /// outcomes.
     pub fn scenario_key(&self, library: &CellLibrary, netlist: &Netlist) -> ScenarioKey {
         ScenarioKey {
             netlist: fingerprint::netlist_content_hash(netlist),
             library: fingerprint::library_fingerprint(library),
-            variation: fingerprint::variation_fingerprint(&self.variation),
+            variation: fingerprint::variation_fingerprint(&VariationModel::paper_default()),
             dt: self.dt,
             objective: self.objective.wire_name(),
+            // `ms:0` is the optimizer's default sensitivity floor, kept
+            // in the persisted format so existing store files still hit.
             optimizer: format!(
-                "{}|dw:{}|it:{}|ms:{}|dl:{:?}|fb:{}",
+                "{}|dw:{}|it:{}|ms:0|dl:{:?}|fb:{}",
                 self.selector.wire_name(),
                 self.delta_w,
                 self.max_iterations,
-                self.min_sensitivity,
                 self.job_deadline,
                 self.fallback
                     .map_or_else(|| "none".to_string(), |s| s.wire_name()),
@@ -721,31 +651,14 @@ impl Campaign {
     ///
     /// Outcomes are returned in job order. Absent deadlines and
     /// fail-fast, they are bit-identical for every shard count and
-    /// thread budget. Equivalent to
-    /// [`run_resumable`](Self::run_resumable) without a journal.
+    /// thread budget. Equivalent to [`run_with_store`](Self::run_with_store)
+    /// without a store.
     pub fn run(&self, jobs: &[CampaignJob], library: &CellLibrary) -> CampaignReport {
-        self.run_resumable(jobs, library, None)
+        self.run_with_store(jobs, library, None, None)
     }
 
-    /// [`run`](Self::run), with optional checkpoint/resume through a
-    /// [`Journal`]. Each non-degraded completed job is appended to the
-    /// journal as it finishes; jobs whose key (name, netlist content
-    /// hash, [configuration fingerprint](Self::fingerprint)) is already
-    /// on record are **not re-run** — their recorded outcome is restored
-    /// bit-identically and counted in
-    /// [`CampaignReport::resumed`]. Failed, timed-out, and skipped jobs
-    /// are never journaled, so a resumed run retries them.
-    pub fn run_resumable(
-        &self,
-        jobs: &[CampaignJob],
-        library: &CellLibrary,
-        journal: Option<&mut Journal>,
-    ) -> CampaignReport {
-        self.run_with_store(jobs, library, journal, None)
-    }
-
-    /// [`run_resumable`](Self::run_resumable), additionally consulting a
-    /// cross-campaign [`ResultStore`] before running each job:
+    /// [`run`](Self::run), consulting a [`ResultStore`] before running
+    /// each job:
     ///
     /// * an **exact** [`scenario_key`](Self::scenario_key) hit replays
     ///   the stored outcome without any optimizer sweep, marked
@@ -762,13 +675,19 @@ impl Campaign {
     /// Lookups see the store **as it was opened** — same-run appends are
     /// invisible until the next open — so hits never depend on the shard
     /// schedule and the bit-identity contract extends to store-assisted
-    /// runs. The journal (within-run resume) takes precedence over the
-    /// store for a job present in both.
+    /// runs. Checkpoint/resume is this method with a run-scoped store: a
+    /// job completed before an interruption is an exact hit when the run
+    /// is repeated, so the repeated run's default report is byte-identical
+    /// to an uninterrupted one. Failed, timed-out, skipped and degraded
+    /// jobs are never recorded, so a repeated run retries them.
+    ///
+    /// The third parameter carries no value (`Option<Infallible>` admits
+    /// only `None`); it keeps the signature callers already use.
     pub fn run_with_store(
         &self,
         jobs: &[CampaignJob],
         library: &CellLibrary,
-        journal: Option<&mut Journal>,
+        _: Option<Infallible>,
         store: Option<&mut ResultStore>,
     ) -> CampaignReport {
         let t0 = Instant::now();
@@ -789,14 +708,6 @@ impl Campaign {
         order.sort_by_cached_key(|&idx| {
             Reverse(jobs[idx].netlist().map_or(0, |n| n.stats().timing_nodes))
         });
-        let fingerprint = self.journal_fingerprint(library);
-        let keys: Vec<Option<String>> = jobs
-            .iter()
-            .map(|j| {
-                j.netlist()
-                    .map(|n| journal::job_key(fingerprint, &j.name, n))
-            })
-            .collect();
         let scenarios: Vec<Option<ScenarioKey>> = if store.is_some() {
             jobs.iter()
                 .map(|j| j.netlist().map(|n| self.scenario_key(library, n)))
@@ -804,10 +715,8 @@ impl Campaign {
         } else {
             vec![None; jobs.len()]
         };
-        let journal = journal.map(Mutex::new);
         let store = store.map(Mutex::new);
         let halt = AtomicBool::new(false);
-        let resumed = AtomicUsize::new(0);
         let cached = AtomicUsize::new(0);
         // Shards claim whole circuits in `order`; outcomes come back in
         // job order, so the report never depends on which shard ran which
@@ -830,13 +739,6 @@ impl Campaign {
                         reason: "fail-fast: an earlier job faulted".to_string(),
                     });
                 }
-                if let (Some(journal), Some(key)) = (&journal, &keys[idx]) {
-                    let guard = journal.lock().unwrap_or_else(|e| e.into_inner());
-                    if let Some(outcome) = guard.lookup(key) {
-                        resumed.fetch_add(1, Ordering::Relaxed);
-                        return JobOutcome::Completed(outcome.clone());
-                    }
-                }
                 // Store consultation: an exact hit replays the record
                 // (renamed to this job — the store is content-addressed,
                 // so the recording job may have used another name); a
@@ -851,17 +753,6 @@ impl Campaign {
                         outcome.name.clone_from(&job.name);
                         outcome.cached = true;
                         cached.fetch_add(1, Ordering::Relaxed);
-                        drop(guard);
-                        if let (Some(journal), Some(key)) = (&journal, &keys[idx]) {
-                            // Journal the replay so a resumed run skips
-                            // it too — without the runtime-only flag.
-                            let mut on_record = outcome.clone();
-                            on_record.cached = false;
-                            journal
-                                .lock()
-                                .unwrap_or_else(|e| e.into_inner())
-                                .record(key, &on_record);
-                        }
                         return JobOutcome::Completed(outcome);
                     }
                     if let Some(entry) = guard.lookup_warm(scenario) {
@@ -880,12 +771,6 @@ impl Campaign {
                     self.run_one_isolated(job, library, own, warm_sizes.as_deref());
                 match &outcome {
                     JobOutcome::Completed(o) if !o.degraded => {
-                        if let (Some(journal), Some(key)) = (&journal, &keys[idx]) {
-                            journal
-                                .lock()
-                                .unwrap_or_else(|e| e.into_inner())
-                                .record(key, o);
-                        }
                         if let (Some(store), Some(scenario), Some(sizes)) =
                             (&store, &scenarios[idx], &final_sizes)
                         {
@@ -930,7 +815,6 @@ impl Campaign {
             shards,
             threads_per_shard,
             lent_sweeps: spare.lent_sweeps(),
-            resumed: resumed.load(Ordering::Relaxed),
             cached: cached.load(Ordering::Relaxed),
             wall: t0.elapsed(),
         }
@@ -971,7 +855,7 @@ impl Campaign {
         // forces a panic here in tests.
         let built = catch_unwind(AssertUnwindSafe(|| {
             failpoint::fire("campaign::setup", name);
-            TimedCircuit::new(netlist, library, self.variation, self.dt)
+            TimedCircuit::new(netlist, library, VariationModel::paper_default(), self.dt)
         }));
         let mut circuit = match built {
             Ok(circuit) => circuit,
@@ -1049,7 +933,8 @@ impl Campaign {
         // cheap fallback selector, under a fresh deadline of the
         // *configured* budget (not the failpoint-forced one, so an
         // injected overrun still exercises a genuine fallback run).
-        let mut fresh = TimedCircuit::new(netlist, library, self.variation, self.dt);
+        let mut fresh =
+            TimedCircuit::new(netlist, library, VariationModel::paper_default(), self.dt);
         match self.optimize_attempt(name, &mut fresh, fallback, self.job_deadline, threads, None) {
             Attempt::Panicked(message) => (
                 JobOutcome::Failed(JobError {
@@ -1096,7 +981,6 @@ impl Campaign {
             let mut optimizer = Optimizer::new(self.objective, selector)
                 .with_delta_w(self.delta_w)
                 .with_max_iterations(self.max_iterations)
-                .with_min_sensitivity(self.min_sensitivity)
                 .with_threads(threads.threads());
             if let Some(sizes) = warm_sizes {
                 optimizer = optimizer.with_initial_sizes(sizes.to_vec());
@@ -1190,7 +1074,7 @@ mod tests {
         let report = campaign().with_shards(2).run(&jobs(), &lib);
         assert_eq!(report.outcomes.len(), 3);
         assert_eq!(report.shards, 2);
-        assert_eq!(report.resumed, 0);
+        assert_eq!(report.cached, 0);
         let names: Vec<&str> = report.outcomes.iter().map(JobOutcome::name).collect();
         assert_eq!(names, ["c17", "c432", "gen300"]);
         for outcome in &report.outcomes {
@@ -1403,57 +1287,63 @@ mod tests {
     }
 
     #[test]
-    fn journal_resume_restores_outcomes_bit_identically() {
-        let dir = std::env::temp_dir().join("statsize-campaign-test-resume");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("journal.jsonl");
+    fn fingerprint_tracks_outcome_affecting_knobs_only() {
         let lib = CellLibrary::synthetic_180nm();
-        let jobs = jobs();
-
-        let mut journal = Journal::create(&path).expect("create journal");
-        let first = campaign().run_resumable(&jobs, &lib, Some(&mut journal));
-        assert_eq!(first.resumed, 0);
-        assert_eq!(journal.len(), 3);
-
-        let mut resumed = Journal::resume(&path).expect("resume journal");
-        let second = campaign().run_resumable(&jobs, &lib, Some(&mut resumed));
-        assert_eq!(second.resumed, 3, "every job restores from the journal");
-        for (a, b) in first.outcomes.iter().zip(&second.outcomes) {
-            let (a, b) = (a.completed().unwrap(), b.completed().unwrap());
-            assert_eq!(a.deterministic_key(), b.deterministic_key());
-            assert_eq!(a.pruned, b.pruned, "resume restores the exact record");
+        let nl = bench::c17();
+        let exact = |c: Campaign| c.scenario_key(&lib, &nl).exact();
+        let base = campaign();
+        assert_eq!(exact(base), exact(campaign()), "deterministic");
+        for (knob, changed) in [
+            (
+                "objective",
+                Campaign::new(Objective::Mean, SelectorKind::Pruned).with_max_iterations(3),
+            ),
+            (
+                "selector",
+                Campaign::new(Objective::percentile(0.99), SelectorKind::BruteForce)
+                    .with_max_iterations(3),
+            ),
+            ("delta_w", base.with_delta_w(2.0)),
+            ("iteration cap", base.with_max_iterations(7)),
+            ("dt", base.with_dt(1.0)),
+            ("deadline", base.with_job_deadline(Duration::from_secs(1))),
+            (
+                "fallback",
+                base.with_deadline_fallback(SelectorKind::Deterministic),
+            ),
+        ] {
+            assert_ne!(
+                exact(base),
+                exact(changed),
+                "{knob} must separate scenarios"
+            );
         }
-
-        // A different configuration must not reuse the records.
-        let mut resumed = Journal::resume(&path).expect("resume journal");
-        let other =
-            campaign()
-                .with_max_iterations(2)
-                .run_resumable(&jobs, &lib, Some(&mut resumed));
-        assert_eq!(other.resumed, 0, "fingerprint separates configurations");
-        std::fs::remove_dir_all(&dir).ok();
+        // Scheduling knobs do not affect outcomes, so they must not turn
+        // a stored outcome into a miss.
+        assert_eq!(exact(base), exact(base.with_shards(8)));
+        assert_eq!(exact(base), exact(base.with_total_threads(8)));
+        assert_eq!(exact(base), exact(base.with_fail_fast(true)));
     }
 
     #[test]
-    fn fingerprint_tracks_outcome_affecting_knobs_only() {
+    fn journal_fingerprint_separates_cell_libraries_and_seeds() {
+        // Checkpoint/resume goes through the store, so the scenario key is
+        // what must keep outcomes recorded under another cell library or
+        // corpus seed from being replayed.
+        let lib = CellLibrary::synthetic_180nm();
+        let nl = bench::c17();
         let base = campaign();
-        assert_eq!(base.fingerprint(), campaign().fingerprint());
-        assert_ne!(base.fingerprint(), base.with_delta_w(2.0).fingerprint());
+        let renamed = CellLibrary::new("other-process", lib.cells().to_vec());
         assert_ne!(
-            base.fingerprint(),
-            base.with_max_iterations(7).fingerprint()
+            base.scenario_key(&lib, &nl).exact(),
+            base.scenario_key(&renamed, &nl).exact(),
+            "library must separate scenarios"
         );
         assert_ne!(
-            base.fingerprint(),
-            base.with_job_deadline(Duration::from_secs(1)).fingerprint()
+            base.scenario_key(&lib, &nl).exact(),
+            base.with_corpus_seed(7).scenario_key(&lib, &nl).exact(),
+            "corpus seed must separate scenarios"
         );
-        // Scheduling knobs do not affect outcomes, so they must not
-        // invalidate a journal.
-        assert_eq!(base.fingerprint(), base.with_shards(8).fingerprint());
-        assert_eq!(base.fingerprint(), base.with_total_threads(8).fingerprint());
-        assert_eq!(base.fingerprint(), base.with_fail_fast(true).fingerprint());
-        // The corpus seed is part of the campaign's identity.
-        assert_ne!(base.fingerprint(), base.with_corpus_seed(7).fingerprint());
         assert_eq!(base.corpus_seed(), 0);
         assert_eq!(base.with_corpus_seed(7).corpus_seed(), 7);
     }
@@ -1470,59 +1360,24 @@ mod tests {
     }
 
     #[test]
-    fn journal_fingerprint_separates_cell_libraries_and_seeds() {
-        let base = campaign();
-        let lib = CellLibrary::synthetic_180nm();
-        assert_eq!(
-            base.journal_fingerprint(&lib),
-            campaign().journal_fingerprint(&lib),
-            "deterministic for identical configuration and library"
-        );
-        let renamed = CellLibrary::new("other-process", lib.cells().to_vec());
-        assert_ne!(
-            base.journal_fingerprint(&lib),
-            base.journal_fingerprint(&renamed),
-            "library must separate journal keys"
-        );
-        assert_ne!(
-            base.journal_fingerprint(&lib),
-            base.with_corpus_seed(7).journal_fingerprint(&lib),
-            "corpus seed must separate journal keys"
-        );
-        // Scheduling knobs still do not invalidate a journal.
-        assert_eq!(
-            base.journal_fingerprint(&lib),
-            base.with_shards(8).journal_fingerprint(&lib)
-        );
-    }
-
-    #[test]
     fn resume_does_not_cross_corpus_seeds() {
         let dir = std::env::temp_dir().join("statsize-campaign-test-seed-resume");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("journal.jsonl");
+        let path = dir.join("results.store");
         let lib = CellLibrary::synthetic_180nm();
         let jobs = vec![CampaignJob::new("c17", bench::c17())];
-
-        let mut journal = Journal::create(&path).unwrap();
-        let first = campaign()
-            .with_corpus_seed(1)
-            .run_resumable(&jobs, &lib, Some(&mut journal));
-        assert_eq!(first.resumed, 0);
-
-        // Same journal, same jobs, different seed: nothing resumes.
-        let mut journal = Journal::resume(&path).unwrap();
-        let other = campaign()
-            .with_corpus_seed(2)
-            .run_resumable(&jobs, &lib, Some(&mut journal));
-        assert_eq!(other.resumed, 0, "seed must invalidate the journal");
-
+        let run = |seed: u64| {
+            let mut store = ResultStore::open_or_create(&path).unwrap();
+            campaign()
+                .with_corpus_seed(seed)
+                .run_with_store(&jobs, &lib, None, Some(&mut store))
+        };
+        std::fs::remove_file(&path).ok();
+        assert_eq!(run(1).cached, 0);
+        // Same store, same jobs, different seed: nothing replays.
+        assert_eq!(run(2).cached, 0, "seed must separate stored outcomes");
         // Same seed again: the recorded outcome is reused.
-        let mut journal = Journal::resume(&path).unwrap();
-        let again = campaign()
-            .with_corpus_seed(1)
-            .run_resumable(&jobs, &lib, Some(&mut journal));
-        assert_eq!(again.resumed, 1, "matching seed resumes");
+        assert_eq!(run(1).cached, 1, "matching seed replays");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -4,7 +4,7 @@
 //! operator, via the `STATSIZE_FAILPOINTS` environment variable — see
 //! `FAILPOINTS_ENV`) can force a fault: a panic, or a "trigger" the
 //! site interprets in its own way (an already-expired deadline, a
-//! corrupted journal line). Sites call `fire` with their name and a
+//! torn result-store line). Sites call `fire` with their name and a
 //! per-invocation detail string (typically the job name or a line
 //! number); the call is a no-op unless a matching fault has been
 //! armed.
@@ -198,7 +198,7 @@ mod enabled {
         #[test]
         fn spec_parsing_accepts_both_forms_and_skips_garbage() {
             let parsed = parse_spec(
-                "campaign::job@c432=panic, journal::read=trigger; \
+                "campaign::job@c432=panic, store::read=trigger; \
                  bad-entry, nope=frobnicate, =panic",
             );
             assert_eq!(
@@ -209,7 +209,7 @@ mod enabled {
                         Some("c432".to_string()),
                         FaultAction::Panic
                     ),
-                    ("journal::read".to_string(), None, FaultAction::Trigger),
+                    ("store::read".to_string(), None, FaultAction::Trigger),
                 ]
             );
             assert_eq!(parse_spec(""), vec![]);

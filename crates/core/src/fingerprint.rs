@@ -1,14 +1,12 @@
 //! Content hashes and configuration fingerprints — the keying vocabulary
-//! shared by the checkpoint [`Journal`](crate::Journal) and the
-//! cross-campaign [`ResultStore`](crate::ResultStore).
+//! of the [`ResultStore`](crate::ResultStore)'s scenario keys.
 //!
-//! Both persistence layers key recorded outcomes by *what produced them*:
-//! the netlist content, the cell library, the variation model, and the
-//! campaign knobs. The hash of each ingredient is defined **once**, here,
-//! on top of [`wire::fnv1a`](crate::wire::fnv1a) — a silent divergence between the journal's
-//! and the store's idea of "same netlist" would poison resume and cache
-//! alike, so the definitions live in one audited module with their own
-//! separation tests.
+//! The store keys recorded outcomes by *what produced them*: the netlist
+//! content, the cell library, the variation model, and the campaign
+//! knobs. The hash of each ingredient is defined **once**, here, on top
+//! of [`wire::fnv1a`](crate::wire::fnv1a), so every caller that needs
+//! "same netlist" gets the same answer; the definitions live in one
+//! audited module with their own separation tests.
 //!
 //! Hash inputs are canonical textual forms: the netlist through its
 //! canonical `.bench` serialization ([`statsize_netlist::bench::write`],

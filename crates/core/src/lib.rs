@@ -43,16 +43,16 @@
 //! Campaigns are **fault tolerant**: every job is panic-isolated into a
 //! structured [`JobOutcome`] (completed / failed / timed-out / skipped),
 //! selectors honor cooperative per-job [`Deadline`]s with optional
-//! graceful degradation to a cheaper selector, completed work
-//! checkpoints to a [`Journal`] for bit-identical `--resume`, and the
-//! [`failpoint`] harness injects faults at the same sites the tests
-//! prove are survivable.
+//! graceful degradation to a cheaper selector, and the [`failpoint`]
+//! harness injects faults at the same sites the tests prove are
+//! survivable.
 //!
-//! Completed results also persist *across* campaigns: [`ResultStore`] is
-//! a content-addressed, append-only store keyed by the full scenario
+//! Completed results persist in one log: [`ResultStore`] is a
+//! content-addressed, append-only store keyed by the full scenario
 //! (netlist content, library and variation fingerprints, time step,
 //! objective, optimizer configuration, corpus seed). An exact key hit
-//! replays the stored outcome without re-running the optimizer; a
+//! replays the stored outcome without re-running the optimizer — which
+//! is also how an interrupted campaign resumes, bit-identically; a
 //! partial hit — same circuit under a different objective or time step —
 //! warm-starts the optimizer from the stored sizing vector.
 //!
@@ -92,7 +92,6 @@ mod det_opt;
 pub mod failpoint;
 pub mod fingerprint;
 mod heuristic;
-mod journal;
 mod objective;
 mod optimizer;
 mod parallel;
@@ -112,7 +111,6 @@ pub use circuit::{ResizeUndo, TimedCircuit, TimingState};
 pub use deadline::{Deadline, DeadlineExceeded};
 pub use det_opt::DeterministicSelector;
 pub use heuristic::HeuristicSelector;
-pub use journal::{Journal, JournalError};
 pub use objective::Objective;
 pub use optimizer::{
     IterationRecord, OptimizationResult, Optimizer, OptimizerStep, SelectorKind, StopReason,

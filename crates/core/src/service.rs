@@ -98,13 +98,6 @@ impl Design {
         }
     }
 
-    /// Sets the variation model.
-    #[must_use]
-    pub fn with_variation(mut self, variation: VariationModel) -> Self {
-        self.variation = variation;
-        self
-    }
-
     /// Sets the lattice step (ps).
     ///
     /// # Panics

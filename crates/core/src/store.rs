@@ -1,29 +1,37 @@
-//! The content-addressed, cross-campaign result store.
+//! The content-addressed result store: the one log of completed
+//! campaign outcomes.
 //!
-//! The checkpoint [`Journal`](crate::Journal) answers "did *this run*
-//! already finish this job?". The [`ResultStore`] answers the bigger
-//! question the ROADMAP's serve-and-campaign workload keeps asking:
-//! "has *any* campaign, ever, already optimized this exact scenario?" —
-//! and, when the answer is "almost", hands the optimizer a warm start.
+//! The [`ResultStore`] answers "has a campaign already optimized this
+//! exact scenario?" — whether that campaign was an earlier run, another
+//! configuration over the same corpus, or this run's own interrupted
+//! predecessor — and, when the answer is "almost", hands the optimizer a
+//! warm start. Checkpoint/resume is the same question: a campaign killed
+//! mid-run has recorded every job it completed, so re-running it against
+//! the same store replays those jobs as exact hits and runs only the
+//! rest.
 //!
 //! A scenario is addressed by **content**, not by job name: the
 //! [`ScenarioKey`] combines an FNV-1a hash of the netlist's canonical
 //! `.bench` text, the cell-library and variation-model fingerprints, the
 //! lattice step `dt`, the objective's wire name, the full optimizer
 //! configuration, and the corpus seed (all hashing through the shared
-//! [`fingerprint`](crate::fingerprint) module, so the store and the
-//! journal cannot disagree about what "same input" means). Each record
-//! carries the completed [`CircuitOutcome`] **plus the final sizing
-//! vector**:
+//! [`fingerprint`](crate::fingerprint) module). Each record carries the
+//! completed [`CircuitOutcome`] **plus the final sizing vector**:
 //!
 //! * an **exact** key hit replays the outcome without a single optimizer
 //!   sweep — byte-identical on the default report, so CI can diff
-//!   reports across commits instead of re-running;
+//!   reports across commits (and across an interruption) instead of
+//!   re-running;
 //! * a **partial** hit (same netlist/library/variation/seed, different
 //!   objective, `dt`, or optimizer knobs) seeds
 //!   [`Optimizer::with_initial_sizes`](crate::Optimizer::with_initial_sizes)
 //!   with the stored sizing vector, so a delta run descends from the
 //!   previous optimum instead of from minimum sizes.
+//!
+//! Only deterministic outcomes are recorded: `Completed` outcomes from a
+//! deadline-fallback rerun (`degraded`) as well as `Failed`/`TimedOut`
+//! jobs are re-run next time — a timeout or a transient fault is not a
+//! result worth caching.
 //!
 //! # Determinism: the frozen lookup view
 //!
@@ -47,18 +55,19 @@
 //! header line `{"store":"statsize-results","version":1}`, then one
 //! `{"key":{...},"sizes":[...],"outcome":{...}}` record per line.
 //! Floats serialize through shortest-round-trip `Display` and parse back
-//! bit-exactly. Reading shares [`wire::read_line_log`] with the journal
-//! and the WAL: strict header, per-line quarantine of torn or garbled
-//! entries (keyed last-write-wins over the survivors), so a crash
-//! mid-append costs at most the torn record.
+//! bit-exactly. Reading shares [`wire::read_line_log`] with the WAL:
+//! strict header, per-line quarantine of torn or garbled entries (keyed
+//! last-write-wins over the survivors), so a crash mid-append costs at
+//! most the torn record.
 
 use crate::campaign::CircuitOutcome;
-use crate::journal;
-use crate::wire::{self, escape, get, get_f64, get_str};
+use crate::optimizer::StopReason;
+use crate::wire::{self, escape, get, get_bool, get_bool_or, get_f64, get_str, get_usize};
 use std::collections::HashMap;
 use std::fmt;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
+use std::time::Duration;
 
 /// The store header line: identifies the file and pins the record
 /// schema version.
@@ -432,7 +441,7 @@ impl ResultStore {
             "{{\"key\":{},\"sizes\":[{}],\"outcome\":{}}}\n",
             key.to_json(),
             rendered_sizes,
-            journal::outcome_to_json(outcome)
+            outcome_to_json(outcome)
         );
         let appended = std::fs::OpenOptions::new()
             .append(true)
@@ -462,7 +471,7 @@ fn parse_record(line: &str) -> Result<StoreEntry, String> {
         .iter()
         .map(|v| v.as_f64().ok_or_else(|| "non-numeric size".to_string()))
         .collect::<Result<Vec<f64>, String>>()?;
-    let outcome = journal::parse_outcome(
+    let outcome = parse_outcome(
         get(obj, "outcome")?
             .as_object()
             .ok_or("`outcome` is not an object")?,
@@ -474,11 +483,74 @@ fn parse_record(line: &str) -> Result<StoreEntry, String> {
     })
 }
 
+/// Serializes an outcome: the `outcome` object of a store record. Floats
+/// use Rust's shortest-round-trip `Display`, so parsing them back yields
+/// the exact same bits — the foundation of the byte-identical replay
+/// contract. The runtime-only [`cached`](CircuitOutcome::cached) flag is
+/// deliberately absent: it records how *this run* obtained the outcome,
+/// not what the outcome is.
+fn outcome_to_json(o: &CircuitOutcome) -> String {
+    format!(
+        "{{\"name\":\"{}\",\"nodes\":{},\"edges\":{},\"depth\":{},\
+         \"initial_objective\":{},\"final_objective\":{},\
+         \"initial_width\":{},\"final_width\":{},\
+         \"iterations\":{},\"stop\":\"{:?}\",\
+         \"candidates\":{},\"pruned\":{},\"completed\":{},\
+         \"degraded\":{},\"warm_started\":{},\"wall_ms\":{}}}",
+        escape(&o.name),
+        o.nodes,
+        o.edges,
+        o.depth,
+        o.initial_objective,
+        o.final_objective,
+        o.initial_width,
+        o.final_width,
+        o.iterations,
+        o.stop,
+        o.candidates,
+        o.pruned,
+        o.completed,
+        o.degraded,
+        o.warm_started,
+        o.wall.as_secs_f64() * 1e3,
+    )
+}
+
+/// Parses the object form [`outcome_to_json`] writes. `warm_started`
+/// defaults to `false` when absent (records written before the field
+/// existed); `cached` is never on the wire and parses as `false`.
+fn parse_outcome(outcome: &[(String, wire::Json)]) -> Result<CircuitOutcome, String> {
+    let stop = match get_str(outcome, "stop")? {
+        "Converged" => StopReason::Converged,
+        "MaxIterations" => StopReason::MaxIterations,
+        "WidthLimit" => StopReason::WidthLimit,
+        "DeadlineExpired" => StopReason::DeadlineExpired,
+        other => return Err(format!("unknown stop reason `{other}`")),
+    };
+    Ok(CircuitOutcome {
+        name: get_str(outcome, "name")?.to_string(),
+        nodes: get_usize(outcome, "nodes")?,
+        edges: get_usize(outcome, "edges")?,
+        depth: get_usize(outcome, "depth")?,
+        initial_objective: get_f64(outcome, "initial_objective")?,
+        final_objective: get_f64(outcome, "final_objective")?,
+        initial_width: get_f64(outcome, "initial_width")?,
+        final_width: get_f64(outcome, "final_width")?,
+        iterations: get_usize(outcome, "iterations")?,
+        stop,
+        candidates: get_usize(outcome, "candidates")?,
+        pruned: get_usize(outcome, "pruned")?,
+        completed: get_usize(outcome, "completed")?,
+        degraded: get_bool(outcome, "degraded")?,
+        warm_started: get_bool_or(outcome, "warm_started", false)?,
+        cached: false,
+        wall: Duration::from_secs_f64(get_f64(outcome, "wall_ms")?.max(0.0) / 1e3),
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::optimizer::StopReason;
-    use std::time::Duration;
 
     fn key(tag: u64) -> ScenarioKey {
         ScenarioKey {
@@ -512,6 +584,47 @@ mod tests {
             cached: false,
             wall: Duration::from_micros(1234),
         }
+    }
+
+    /// Renders and re-parses one outcome through the record codec.
+    fn round_trip(o: &CircuitOutcome) -> CircuitOutcome {
+        let value = wire::parse(&outcome_to_json(o)).expect("valid JSON");
+        parse_outcome(value.as_object().expect("an object")).expect("round trip")
+    }
+
+    #[test]
+    fn outcome_round_trips_bit_exactly() {
+        let o = outcome("weird \"name\"\\with\tescapes");
+        let back = round_trip(&o);
+        assert_eq!(back.name, o.name);
+        assert_eq!(
+            back.initial_objective.to_bits(),
+            o.initial_objective.to_bits()
+        );
+        assert_eq!(back.final_objective.to_bits(), o.final_objective.to_bits());
+        assert_eq!(back.final_width.to_bits(), o.final_width.to_bits());
+        assert_eq!(back.deterministic_key(), o.deterministic_key());
+        assert_eq!((back.pruned, back.completed), (o.pruned, o.completed));
+        assert_eq!(back.stop, o.stop);
+        assert_eq!(back.degraded, o.degraded);
+    }
+
+    #[test]
+    fn warm_started_round_trips_and_defaults_false_when_absent() {
+        let mut o = outcome("w");
+        o.warm_started = true;
+        o.cached = true; // runtime provenance — must NOT survive the wire
+        let back = round_trip(&o);
+        assert!(back.warm_started);
+        assert!(!back.cached, "cached is never serialized");
+        // Records written before the field existed parse with the
+        // lenient default instead of quarantining.
+        let json = outcome_to_json(&o);
+        let stripped = json.replace(",\"warm_started\":true", "");
+        assert_ne!(stripped, json, "field must have been present");
+        let value = wire::parse(&stripped).expect("valid JSON");
+        let back = parse_outcome(value.as_object().unwrap()).expect("lenient parse");
+        assert!(!back.warm_started);
     }
 
     fn temp_store(name: &str) -> PathBuf {

@@ -21,8 +21,8 @@
 //!
 //! # Format and torn-write robustness
 //!
-//! The file is the same hand-rolled line-oriented JSON the campaign
-//! [`Journal`](crate::Journal) uses, read by the shared
+//! The file is the same hand-rolled line-oriented JSON the
+//! [`ResultStore`](crate::ResultStore) uses, read by the shared
 //! [`wire::read_line_log`] reader (strict header, per-line quarantine):
 //! a header line pinning the schema version, then one
 //! `{"record":"...",...}` object per line, floats rendered with Rust's
@@ -31,7 +31,7 @@
 //! request, so the WAL is a *write-ahead* log in the strict sense: a
 //! response the client saw is a record the disk has.
 //!
-//! Unlike the journal's keyed last-write-wins, WAL records are a
+//! Unlike the store's keyed last-write-wins, WAL records are a
 //! *history* — order matters and later records depend on earlier ones.
 //! A torn or garbled line therefore truncates recovery to the **durable
 //! prefix**: everything strictly before the first corrupt line is
@@ -379,7 +379,7 @@ fn io_err(path: &Path) -> impl FnOnce(std::io::Error) -> WalError + '_ {
 /// The append half: an open WAL file every durable mutation is written
 /// (and fsynced) to before the response goes out.
 ///
-/// Write failures follow the journal's posture: warn on stderr once,
+/// Write failures follow the result store's posture: warn on stderr once,
 /// then go quiet — the serving process keeps answering (losing
 /// durability, not availability), and [`healthy`](Self::healthy) lets
 /// the front-end surface the degradation.

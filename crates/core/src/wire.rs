@@ -2,15 +2,15 @@
 //! recursive-descent JSON reader, the matching string escaper, and the
 //! FNV-1a content hash.
 //!
-//! This workspace vendors no serde; the [`Journal`](crate::Journal)
-//! checkpoint format and the serve-mode request/response protocol both
-//! speak hand-rolled single-line JSON instead. The grammar support lives
-//! here, in one audited place, so the two surfaces cannot drift: objects,
+//! This workspace vendors no serde; the [`ResultStore`](crate::ResultStore)
+//! file, the serve-mode WAL and the serve-mode request/response protocol
+//! all speak hand-rolled single-line JSON instead. The grammar support
+//! lives here, in one audited place, so the surfaces cannot drift: objects,
 //! arrays, strings (with the standard escapes), numbers, booleans, null.
 //!
 //! Numbers parse through `str::parse::<f64>`, which inverts Rust's
 //! shortest-round-trip `Display` serialization **bit-exactly** — the
-//! foundation of both the journal's byte-identical resume contract and
+//! foundation of both the store's byte-identical replay contract and
 //! the serve front-end's byte-deterministic replay contract. Writers
 //! simply `format!` floats with `Display` and strings through
 //! [`escape`]; there is no writer object to misuse.
@@ -18,10 +18,9 @@
 use crate::failpoint;
 use std::fmt;
 
-/// FNV-1a over a byte string — the content hash behind journal keys and
-/// campaign fingerprints. Stable, dependency-free, and plenty for cache
-/// keying (collisions only cause a wrongly *skipped* job if the colliding
-/// inputs also share a job name).
+/// FNV-1a over a byte string — the content hash behind result-store
+/// scenario keys (see [`fingerprint`](crate::fingerprint)). Stable,
+/// dependency-free, and plenty for cache keying.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for &b in bytes {
@@ -200,8 +199,8 @@ pub struct LineLog<T> {
 
 /// Reads a line-oriented record log: a mandatory header line followed by
 /// one record per line, in the hand-rolled single-line JSON style shared
-/// by the campaign [`Journal`](crate::Journal) and the serve-mode
-/// session WAL.
+/// by the [`ResultStore`](crate::ResultStore) and the serve-mode session
+/// WAL.
 ///
 /// The two surfaces share the same robustness posture, implemented once
 /// here: the *header* is checked strictly (an unrecognized header means
@@ -209,7 +208,7 @@ pub struct LineLog<T> {
 /// *entry* corruption is quarantined per line so a torn tail from a
 /// crash mid-append never takes the readable prefix down with it. Blank
 /// lines are skipped. How quarantined lines are treated — keyed
-/// last-write-wins for the journal, durable-prefix truncation for the
+/// last-write-wins for the store, durable-prefix truncation for the
 /// WAL — is the caller's policy, applied to the returned [`LineLog`].
 ///
 /// `failpoint_site` names the fault-injection site fired per entry line

@@ -17,11 +17,12 @@
 
 use statsize::failpoint::{arm, FaultAction};
 use statsize::wal::{self, Wal};
-use statsize::{Campaign, CampaignJob, JobOutcome, JobStage, Journal, Objective, SelectorKind};
+use statsize::{Campaign, CampaignJob, JobOutcome, JobStage, Objective, ResultStore, SelectorKind};
 use statsize_bench::campaign::render_report;
 use statsize_bench::serve::Server;
 use statsize_cells::CellLibrary;
 use statsize_netlist::bench;
+use statsize_netlist::generator::{generate_scaled, ScaledProfile};
 use std::path::PathBuf;
 use std::sync::Mutex;
 use std::time::Duration;
@@ -169,27 +170,35 @@ fn fail_fast_halts_after_an_injected_fault() {
 }
 
 #[test]
-fn injected_journal_corruption_quarantines_and_reruns() {
-    // Checkpoint a two-job campaign, then resume with the reader rigged
-    // to tear entry line 3 (the second outcome). The journal must
+fn injected_store_corruption_quarantines_and_reruns() {
+    // Record a two-job campaign, then reopen the store with the reader
+    // rigged to tear entry line 3 (the second record). The store must
     // quarantine that entry — not abort — the affected job must re-run,
-    // and the resumed report must match the uninterrupted bytes.
-    let jobs = corpus("fi-journal");
+    // and the repeated report must match the uninterrupted bytes. The
+    // store is content-addressed, so the two jobs need distinct
+    // circuits to leave two records.
+    let jobs = vec![
+        CampaignJob::new("fi-store-small", bench::c17()),
+        CampaignJob::new(
+            "fi-store-large",
+            generate_scaled(&ScaledProfile::with_nodes(200), 1),
+        ),
+    ];
     let lib = CellLibrary::synthetic_180nm();
     let uninterrupted = render_report(&campaign().run(&jobs, &lib), "T(99%)", false);
 
-    let dir = scratch_dir("journal");
-    let path = dir.join("campaign.journal");
-    let mut journal = Journal::create(&path).expect("create journal");
-    campaign().run_resumable(&jobs, &lib, Some(&mut journal));
-    drop(journal);
+    let dir = scratch_dir("store");
+    let path = dir.join("campaign.store");
+    let mut store = ResultStore::create(&path).expect("create store");
+    campaign().run_with_store(&jobs, &lib, None, Some(&mut store));
+    drop(store);
 
-    let _fp = arm("journal::read", Some("3"), FaultAction::Trigger);
-    let mut journal = Journal::resume(&path).expect("corruption is quarantined, not fatal");
-    assert_eq!(journal.len(), 1, "the torn entry is dropped");
-    assert_eq!(journal.corrupt_entries().len(), 1);
-    let report = campaign().run_resumable(&jobs, &lib, Some(&mut journal));
-    assert_eq!(report.resumed, 1, "only the intact entry resumes");
+    let _fp = arm("store::read", Some("3"), FaultAction::Trigger);
+    let mut store = ResultStore::open(&path).expect("corruption is quarantined, not fatal");
+    assert_eq!(store.len(), 1, "the torn entry is dropped");
+    assert_eq!(store.corrupt_entries().len(), 1);
+    let report = campaign().run_with_store(&jobs, &lib, None, Some(&mut store));
+    assert_eq!(report.cached, 1, "only the intact entry replays");
     assert_eq!(report.counts().completed, 2);
     assert_eq!(render_report(&report, "T(99%)", false), uninterrupted);
     std::fs::remove_dir_all(&dir).unwrap();

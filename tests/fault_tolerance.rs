@@ -1,15 +1,16 @@
 //! Fault-tolerant campaign execution, end to end and without fault
 //! injection: malformed corpus files are quarantined (never fatal),
 //! deadline overruns become structured `TimedOut` outcomes (degrading to
-//! a fallback selector when one is configured), and a checkpointed
-//! campaign resumed from its journal reproduces the uninterrupted report
-//! byte for byte — even when the journal itself has a corrupt entry.
+//! a fallback selector when one is configured), and an interrupted
+//! campaign repeated against its result store reproduces the
+//! uninterrupted report byte for byte — even when the store itself has a
+//! corrupt entry.
 //!
 //! The companion suite `fault_injection.rs` (behind the `failpoints`
 //! feature) covers the faults that need in-process injection: forced
 //! panics and forced deadline overruns at named sites.
 
-use statsize::{Campaign, CampaignJob, JobOutcome, Journal, Objective, SelectorKind};
+use statsize::{Campaign, CampaignJob, JobOutcome, Objective, ResultStore, SelectorKind};
 use statsize_bench::campaign::render_report;
 use statsize_cells::CellLibrary;
 use statsize_netlist::generator::{generate_scaled, ScaledProfile};
@@ -167,68 +168,44 @@ fn resumed_campaign_reproduces_the_uninterrupted_report_byte_for_byte() {
     let campaign = reference_campaign();
     let uninterrupted = render_report(&campaign.run(&jobs, &lib), "T(99%)", false);
 
-    // "Interrupt" the campaign by journaling only the first two jobs,
-    // exactly as a killed process would leave the file.
+    // "Interrupt" the campaign by recording only the first two jobs,
+    // exactly as a killed process would leave the store.
     let dir = scratch_dir("resume");
-    let path = dir.join("campaign.journal");
-    let mut journal = Journal::create(&path).expect("create journal");
-    campaign.run_resumable(&jobs[..2], &lib, Some(&mut journal));
-    drop(journal);
+    let path = dir.join("campaign.store");
+    let mut store = ResultStore::create(&path).expect("create store");
+    campaign.run_with_store(&jobs[..2], &lib, None, Some(&mut store));
+    drop(store);
 
-    // Resume over the full corpus: the two journaled jobs are restored
+    // Repeat over the full corpus: the two recorded jobs are replayed
     // (not re-run), the third runs fresh, and the report is bit-equal.
-    let mut journal = Journal::resume(&path).expect("resume journal");
-    assert_eq!(journal.len(), 2);
-    assert!(journal.corrupt_entries().is_empty());
-    let resumed = campaign.run_resumable(&jobs, &lib, Some(&mut journal));
-    assert_eq!(resumed.resumed, 2);
+    let mut store = ResultStore::open(&path).expect("reopen store");
+    assert_eq!(store.len(), 2);
+    assert!(store.corrupt_entries().is_empty());
+    let resumed = campaign.run_with_store(&jobs, &lib, None, Some(&mut store));
+    assert_eq!(resumed.cached, 2);
     assert_eq!(render_report(&resumed, "T(99%)", false), uninterrupted);
-    drop(journal);
+    drop(store);
 
-    // A corrupt entry line (torn write) is quarantined, its job re-runs,
+    // A corrupt record line (torn write) is quarantined, its job re-runs,
     // and the final report is still byte-identical.
     let text = std::fs::read_to_string(&path).unwrap();
     let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
-    assert_eq!(lines.len(), 4, "header plus three entries");
+    assert_eq!(lines.len(), 4, "header plus three records");
     lines[2] = lines[2][..lines[2].len() / 2].to_string();
     std::fs::write(&path, lines.join("\n") + "\n").unwrap();
 
-    let mut journal = Journal::resume(&path).expect("corrupt entries are not fatal");
-    assert_eq!(journal.len(), 2, "the torn entry is dropped");
-    assert_eq!(journal.corrupt_entries().len(), 1);
-    let repaired = campaign.run_resumable(&jobs, &lib, Some(&mut journal));
-    assert_eq!(repaired.resumed, 2);
+    let mut store = ResultStore::open(&path).expect("corrupt entries are not fatal");
+    assert_eq!(store.len(), 2, "the torn record is dropped");
+    assert_eq!(store.corrupt_entries().len(), 1);
+    let repaired = campaign.run_with_store(&jobs, &lib, None, Some(&mut store));
+    assert_eq!(repaired.cached, 2);
     assert_eq!(render_report(&repaired, "T(99%)", false), uninterrupted);
-    drop(journal);
+    drop(store);
 
     // A missing or mangled header is a hard error: the file is not a
-    // journal, and silently starting over would discard the operator's
-    // checkpoint expectations.
-    std::fs::write(&path, "not a journal\n").unwrap();
-    assert!(Journal::resume(&path).is_err());
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn journal_entries_from_a_different_config_are_not_resumed() {
-    // Same corpus, different campaign knobs: the config fingerprint in
-    // the job key must keep stale outcomes from leaking into the run.
-    let jobs = two_circuit_corpus();
-    let lib = CellLibrary::synthetic_180nm();
-    let dir = scratch_dir("fingerprint");
-    let path = dir.join("campaign.journal");
-
-    let mut journal = Journal::create(&path).expect("create journal");
-    reference_campaign().run_resumable(&jobs, &lib, Some(&mut journal));
-    drop(journal);
-
-    let mut journal = Journal::resume(&path).expect("resume journal");
-    assert_eq!(journal.len(), 2);
-    let other =
-        reference_campaign()
-            .with_max_iterations(1)
-            .run_resumable(&jobs, &lib, Some(&mut journal));
-    assert_eq!(other.resumed, 0, "different config must not resume");
-    assert_eq!(other.counts().completed, 2);
+    // result store, and silently starting over would discard the
+    // operator's checkpoint expectations.
+    std::fs::write(&path, "not a store\n").unwrap();
+    assert!(ResultStore::open(&path).is_err());
     std::fs::remove_dir_all(&dir).unwrap();
 }

@@ -7,7 +7,7 @@
 //! read-only stores serve hits without growing the file.
 
 use statsize::{
-    Campaign, CampaignJob, JobOutcome, Journal, Objective, OutcomeKey, ResultStore, SelectorKind,
+    Campaign, CampaignJob, JobOutcome, Objective, OutcomeKey, ResultStore, SelectorKind,
 };
 use statsize_bench::campaign::render_report;
 use statsize_cells::CellLibrary;
@@ -282,46 +282,5 @@ fn read_only_stores_serve_hits_without_growing_the_file() {
         frozen,
         "read-only mode never appends"
     );
-    std::fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
-fn journal_and_store_compose() {
-    // A campaign can checkpoint to a journal and consult a store at
-    // once; a resumed run restores journaled jobs (journal precedence)
-    // and the store still serves the rest.
-    let dir = scratch_dir("compose");
-    let store_path = dir.join("store.jsonl");
-    let journal_path = dir.join("journal.jsonl");
-    let jobs = corpus();
-    let lib = CellLibrary::synthetic_180nm();
-
-    let mut store = ResultStore::create(&store_path).expect("create store");
-    let mut journal = Journal::create(&journal_path).expect("create journal");
-    let cold = campaign().run_with_store(&jobs, &lib, Some(&mut journal), Some(&mut store));
-    drop((store, journal));
-
-    // Resume with both: every job is already journaled, so the journal
-    // answers first and the store's cache counter stays at zero.
-    let mut store = ResultStore::open(&store_path).expect("reopen store");
-    let mut journal = Journal::resume(&journal_path).expect("resume journal");
-    let resumed = campaign().run_with_store(&jobs, &lib, Some(&mut journal), Some(&mut store));
-    assert_eq!(resumed.resumed, jobs.len(), "the journal answers first");
-    assert_eq!(resumed.cached, 0);
-    assert_eq!(keys(&cold.outcomes), keys(&resumed.outcomes));
-    drop((store, journal));
-
-    // A fresh journal with the same store: now the store answers, and
-    // the cache hits are journaled so a *resume* of this run would also
-    // skip them.
-    let fresh_journal_path = dir.join("journal2.jsonl");
-    let mut store = ResultStore::open(&store_path).expect("reopen store");
-    let mut journal = Journal::create(&fresh_journal_path).expect("fresh journal");
-    let replay = campaign().run_with_store(&jobs, &lib, Some(&mut journal), Some(&mut store));
-    assert_eq!(replay.cached, jobs.len());
-    drop((store, journal));
-    let journal = Journal::resume(&fresh_journal_path).expect("resume fresh journal");
-    assert_eq!(journal.len(), jobs.len(), "cache hits are checkpointed");
-    assert_eq!(keys(&cold.outcomes), keys(&replay.outcomes));
     std::fs::remove_dir_all(&dir).unwrap();
 }
