@@ -11,7 +11,10 @@
 //! `Dist::convolve_dense` — the `STATSIZE_KERNEL_TIER` override is read
 //! once per process, so one run can cover every backend), an end-to-end
 //! `cone_walk` over generated benchmark circuits, whole pruned
-//! selection sweeps at 1/2/4/8 worker threads (`pruned_parallel/*`),
+//! selection sweeps at 1/2/4/8 worker threads (`pruned_parallel/*`; the
+//! threaded rows are the median of five independent runs, one under
+//! `--quick`), a six-iteration serial gen1200 descent
+//! (`optimizer_run/gen1200/i6`),
 //! 3-circuit sharded campaigns (`campaign/*`), result-store campaign
 //! paths (`campaign_store/*`: cold vs cache-replayed vs warm-started
 //! delta run), and serve-mode query latency (`service_query/*`: cold
@@ -70,17 +73,22 @@ struct Effort {
     samples: usize,
     batch_target: f64,
     warmup: f64,
+    /// Independent [`measure`] runs behind each threaded row (see
+    /// [`measure_repeated`]).
+    repeats: usize,
 }
 
 const FULL: Effort = Effort {
     samples: 15,
     batch_target: 0.01,
     warmup: 0.02,
+    repeats: 5,
 };
 const QUICK: Effort = Effort {
     samples: 5,
     batch_target: 0.002,
     warmup: 0.005,
+    repeats: 1,
 };
 
 /// Median and minimum per-iteration nanoseconds over `effort.samples`
@@ -106,6 +114,20 @@ fn measure<F: FnMut()>(effort: Effort, mut op: F) -> (f64, f64) {
         .collect();
     per_iter_ns.sort_by(f64::total_cmp);
     (per_iter_ns[effort.samples / 2], per_iter_ns[0])
+}
+
+/// The median of `effort.repeats` independent [`measure`] runs (and the
+/// least minimum). A threaded sweep's median swings with where the
+/// scheduler puts its workers for a whole run — one recording moved
+/// `pruned_parallel/c880/t4` from 11.4 to 24.3 ms — so one run is not a
+/// row.
+fn measure_repeated<F: FnMut()>(effort: Effort, mut op: F) -> (f64, f64) {
+    let mut runs: Vec<(f64, f64)> = (0..effort.repeats)
+        .map(|_| measure(effort, &mut op))
+        .collect();
+    runs.sort_by(|a, b| a.0.total_cmp(&b.0));
+    let min = runs.iter().map(|r| r.1).fold(f64::INFINITY, f64::min);
+    (runs[runs.len() / 2].0, min)
 }
 
 /// Extracts `(name, median_ns)` pairs from a previously emitted baseline
@@ -345,8 +367,9 @@ fn main() {
     // One whole pruned selection sweep per thread count: `t1` is the
     // serial best-bound-first reference, `t2`/`t4`/`t8` the work-stealing
     // parallel sweep (bit-identical selections; only the wall clock and
-    // the prune/complete split change). The `--compare` column against a
-    // committed baseline is how the speedup is tracked across PRs.
+    // the prune/complete split change), each the median of independent
+    // runs. The `--compare` column against a committed baseline is how
+    // the speedup is tracked across PRs.
     for circuit in ["c432", "c880"] {
         let nl = suite::build_circuit(circuit, 1);
         let lib = CellLibrary::synthetic_180nm();
@@ -354,13 +377,37 @@ fn main() {
         let objective = Objective::percentile(0.99);
         for threads in [1usize, 2, 4, 8] {
             let selector = PrunedSelector::new(1.0).with_threads(threads);
+            let op = || {
+                black_box(selector.select(black_box(&timed), objective));
+            };
             record(
                 format!("pruned_parallel/{circuit}/t{threads}"),
-                measure(effort, || {
-                    black_box(selector.select(black_box(&timed), objective));
-                }),
+                if threads > 1 {
+                    measure_repeated(effort, op)
+                } else {
+                    measure(effort, op)
+                },
             );
         }
+    }
+
+    // A whole serial descent: six `Optimizer::run` iterations on gen1200
+    // at dt = 1 from minimum sizes (including building the timing
+    // state), where each sweep after the first reuses the Figure-7
+    // bounds the commits before it left valid.
+    {
+        let nl = suite::build_circuit("gen1200", 1);
+        let lib = CellLibrary::synthetic_180nm();
+        let optimizer = Optimizer::new(Objective::percentile(0.99), SelectorKind::Pruned)
+            .with_threads(1)
+            .with_max_iterations(6);
+        record(
+            "optimizer_run/gen1200/i6".to_string(),
+            measure(effort, || {
+                let mut timed = TimedCircuit::new(&nl, &lib, VariationModel::paper_default(), 1.0);
+                black_box(optimizer.run(black_box(&mut timed)));
+            }),
+        );
     }
 
     // End-to-end sharded campaign over a 3-circuit corpus (the smallest

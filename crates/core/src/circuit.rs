@@ -6,6 +6,97 @@ use statsize_dist::Dist;
 use statsize_netlist::{GateId, Netlist};
 use statsize_ssta::{ArcDelays, DelayOverrides, SstaAnalysis, SstaUndo, TimingGraph};
 
+/// Figure-7 bounds parked across optimizer sweeps: one `Smx` per gate
+/// for a trial resize by `Δw`, which the next sweep pushes onto its heap
+/// in place of re-running the gate's initialization.
+///
+/// An entry lives until a commit recomputes the output of its gate or of
+/// one of the gate's drivers. Two premises make that rule exact:
+///
+/// 1. **Initialization reads only those outputs.** Its lazy bounds
+///    measure only nodes with an overridden in-edge — the outputs of the
+///    candidate and of its drivers — and every other front node inherits
+///    `max(0, fan-in bounds)` over the fixed graph. So a parked `Smx`
+///    depends only on those outputs' trial and base arrivals, which in
+///    turn depend on their transitive fan-in and on the trial overrides;
+///    the overrides depend on the widths of the candidate, of its
+///    drivers, and of the gates on their output nets.
+/// 2. **A commit recomputes a cone closed under fan-out.**
+///    [`SstaAnalysis::update_after_delay_change`] recomputes the whole
+///    fan-out cone of the resized gate's output and of its drivers'
+///    outputs, to the sink. An arrival or delay change upstream of a
+///    bound's outputs therefore recomputes them, and a width change on
+///    the candidate, a driver or a gate on their output nets makes one
+///    of them a seed of the cone.
+///
+/// The pruned selector's `parked_bounds_stay_exact` tests re-initialize
+/// every live entry after each mutation path, compare bits, and check
+/// that the initialization measured only those outputs; in debug builds
+/// every invalidation asserts that the update's cone is closed under
+/// fan-out. A change to either premise fails them.
+///
+/// Bounds are lattice shift bounds, so they do not depend on the
+/// objective; they are keyed by `Δw` alone. Only the optimizer's sweeps
+/// read and fill the cache (the public selector entry points stay cold),
+/// and it is allocated by the first of them, not by
+/// [`TimedCircuit::new`].
+#[derive(Debug, Clone, Default)]
+pub(crate) struct ParkedBounds {
+    delta_w: f64,
+    /// Indexed by gate id; empty until the first optimizer sweep.
+    smx: Vec<Option<f64>>,
+}
+
+impl ParkedBounds {
+    /// Readies the cache for a sweep over `gates` candidates with trial
+    /// increment `delta_w`: allocated on first use, emptied when `Δw`
+    /// changed.
+    pub(crate) fn prepare(&mut self, gates: usize, delta_w: f64) {
+        if self.delta_w.to_bits() != delta_w.to_bits() || self.smx.len() != gates {
+            self.delta_w = delta_w;
+            self.smx.clear();
+            self.smx.resize(gates, None);
+        }
+    }
+
+    /// The parked bound of `gate`, if still valid.
+    pub(crate) fn get(&self, gate: GateId) -> Option<f64> {
+        self.smx.get(gate.index()).copied().flatten()
+    }
+
+    /// Parks `gate`'s freshly initialized bound.
+    pub(crate) fn park(&mut self, gate: GateId, smx: f64) {
+        self.smx[gate.index()] = Some(smx);
+    }
+
+    /// Drops every entry whose candidate output or driver output the
+    /// update recomputed.
+    fn drop_recomputed(&mut self, netlist: &Netlist, graph: &TimingGraph, update: &SstaUndo) {
+        if self.smx.is_empty() {
+            return;
+        }
+        debug_assert!(
+            {
+                let cone: std::collections::HashSet<_> = update.recomputed_nodes().collect();
+                cone.iter()
+                    .all(|&n| graph.out_nodes(n).iter().all(|m| cone.contains(m)))
+            },
+            "premise 2: an update recomputes a cone closed under fan-out"
+        );
+        for node in update.recomputed_nodes() {
+            let Some(net) = graph.net_of_node(node) else {
+                continue; // the sink
+            };
+            let net = netlist.net(net);
+            // The net's driver is a candidate whose output this is; its
+            // loads are the candidates it drives.
+            for gate in net.driver().into_iter().chain(net.loads().iter().copied()) {
+                self.smx[gate.index()] = None;
+            }
+        }
+    }
+}
+
 /// The owned, borrow-free timing state of a circuit: everything a
 /// [`TimedCircuit`] computes and mutates, detached from the netlist and
 /// library references it computes *against*.
@@ -19,15 +110,20 @@ use statsize_ssta::{ArcDelays, DelayOverrides, SstaAnalysis, SstaUndo, TimingGra
 /// `TimingState` clones the full sizing/timing picture, which is exactly
 /// the [`Session::fork`](crate::Session::fork) and snapshot primitive.
 ///
+/// The state also carries the optimizer's parked selector bounds, so a
+/// session's next `step` reuses what its last one left valid.
+///
 /// Equality ignores the timing graph (a pure function of the netlist)
-/// and compares the mutable layers — sizes, delays, arrivals — with
-/// their bit-exact `PartialEq`s.
+/// and the parked bounds (a cache of values derived from the rest), and
+/// compares the mutable layers — sizes, delays, arrivals — with their
+/// bit-exact `PartialEq`s.
 #[derive(Debug, Clone)]
 pub struct TimingState {
     graph: TimingGraph,
     sizes: GateSizes,
     delays: ArcDelays,
     ssta: SstaAnalysis,
+    parked: ParkedBounds,
 }
 
 impl TimingState {
@@ -83,6 +179,7 @@ pub struct TimedCircuit<'a> {
     sizes: GateSizes,
     delays: ArcDelays,
     ssta: SstaAnalysis,
+    parked: ParkedBounds,
 }
 
 impl<'a> TimedCircuit<'a> {
@@ -114,6 +211,7 @@ impl<'a> TimedCircuit<'a> {
             sizes,
             delays,
             ssta,
+            parked: ParkedBounds::default(),
         }
     }
 
@@ -141,6 +239,7 @@ impl<'a> TimedCircuit<'a> {
             sizes: state.sizes,
             delays: state.delays,
             ssta: state.ssta,
+            parked: state.parked,
         }
     }
 
@@ -152,6 +251,7 @@ impl<'a> TimedCircuit<'a> {
             sizes: self.sizes,
             delays: self.delays,
             ssta: self.ssta,
+            parked: self.parked,
         }
     }
 
@@ -270,8 +370,11 @@ impl<'a> TimedCircuit<'a> {
             &self.variation,
             affected.iter().copied(),
         );
-        self.ssta
+        let update = self
+            .ssta
             .update_after_delay_change(&self.graph, &self.delays, &affected);
+        self.parked
+            .drop_recomputed(self.netlist, &self.graph, &update);
     }
 
     /// [`commit_resize`](Self::commit_resize), additionally capturing
@@ -302,6 +405,8 @@ impl<'a> TimedCircuit<'a> {
         let ssta = self
             .ssta
             .update_after_delay_change(&self.graph, &self.delays, &affected);
+        self.parked
+            .drop_recomputed(self.netlist, &self.graph, &ssta);
         ResizeUndo {
             gate,
             prior_width,
@@ -319,6 +424,8 @@ impl<'a> TimedCircuit<'a> {
         for (g, nominal, dist) in undo.prior_delays {
             self.delays.restore(g, nominal, dist);
         }
+        self.parked
+            .drop_recomputed(self.netlist, &self.graph, &undo.ssta);
         self.ssta.apply_undo(undo.ssta);
     }
 
@@ -355,6 +462,27 @@ impl<'a> TimedCircuit<'a> {
             self.dt,
         );
         self.ssta = SstaAnalysis::run(&self.graph, &self.delays);
+        self.parked = ParkedBounds::default();
+    }
+
+    /// Runs `sweep` with the parked bounds moved out beside a shared
+    /// borrow of the circuit, then moves them back. A sweep that unwinds
+    /// leaves the cache empty, which is always sound.
+    pub(crate) fn with_parked_bounds<R>(
+        &mut self,
+        sweep: impl FnOnce(&TimedCircuit<'a>, &mut ParkedBounds) -> R,
+    ) -> R {
+        let mut parked = std::mem::take(&mut self.parked);
+        let out = sweep(self, &mut parked);
+        self.parked = parked;
+        out
+    }
+
+    /// The parked bounds, for tests that check them against a fresh
+    /// initialization.
+    #[cfg(test)]
+    pub(crate) fn parked_bounds(&self) -> &ParkedBounds {
+        &self.parked
     }
 }
 

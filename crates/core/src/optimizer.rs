@@ -461,10 +461,11 @@ impl Optimizer {
     /// the configured threads plus every thread `spare` lends it; the
     /// loan returns to the pool when the sweep ends, however it ends.
     /// The deterministic selector is a single STA pass and borrows
-    /// nothing.
+    /// nothing. The pruned sweep reuses the Figure-7 bounds parked on
+    /// `circuit` that no commit has invalidated, and parks the rest.
     pub(crate) fn sweep(
         &self,
-        circuit: &TimedCircuit<'_>,
+        circuit: &mut TimedCircuit<'_>,
         deadline: Deadline,
         spare: Option<&SpareThreads>,
     ) -> Result<(Vec<Selection>, Option<PruneStats>), DeadlineExceeded> {
@@ -490,7 +491,7 @@ impl Optimizer {
             SelectorKind::Pruned => PrunedSelector::new(self.delta_w)
                 .with_threads(threads)
                 .with_deadline(deadline)
-                .try_select_top_k_with_stats(circuit, self.objective, k)
+                .try_select_top_k_reusing(circuit, self.objective, k)
                 .map(|(s, stats)| (s, Some(stats))),
             SelectorKind::Heuristic { lookahead } => {
                 HeuristicSelector::new(self.delta_w, lookahead)

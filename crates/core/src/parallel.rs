@@ -516,13 +516,13 @@ mod tests {
     fn a_panicking_sweep_returns_its_loan() {
         let nl = bench::c17();
         let lib = CellLibrary::synthetic_180nm();
-        let circuit = TimedCircuit::new(&nl, &lib, VariationModel::paper_default(), 1.0);
+        let mut circuit = TimedCircuit::new(&nl, &lib, VariationModel::paper_default(), 1.0);
         let pool = SpareThreads::new(2, 3);
         // The pruned selector refuses an objective it cannot bound —
         // a panic inside the sweep, caught the way a campaign job is.
         let optimizer = Optimizer::new(Objective::MeanPlusSigma(3.0), SelectorKind::Pruned);
         let swept = catch_unwind(AssertUnwindSafe(|| {
-            optimizer.sweep(&circuit, Deadline::none(), Some(&pool))
+            optimizer.sweep(&mut circuit, Deadline::none(), Some(&pool))
         }));
         assert!(swept.is_err());
         assert_eq!((pool.spare(), pool.lent_sweeps()), (2, 1));
@@ -544,11 +544,11 @@ mod tests {
     fn an_expired_sweep_returns_its_loan() {
         let nl = bench::c17();
         let lib = CellLibrary::synthetic_180nm();
-        let circuit = TimedCircuit::new(&nl, &lib, VariationModel::paper_default(), 1.0);
+        let mut circuit = TimedCircuit::new(&nl, &lib, VariationModel::paper_default(), 1.0);
         let pool = SpareThreads::new(2, 3);
         for (i, selector) in STATISTICAL.into_iter().enumerate() {
             let optimizer = Optimizer::new(Objective::percentile(0.99), selector).with_threads(1);
-            let swept = optimizer.sweep(&circuit, Deadline::after(Duration::ZERO), Some(&pool));
+            let swept = optimizer.sweep(&mut circuit, Deadline::after(Duration::ZERO), Some(&pool));
             assert_eq!(swept.err(), Some(DeadlineExceeded), "{selector:?}");
             assert_eq!(pool.spare(), 2, "{selector:?}");
             assert_eq!(pool.lent_sweeps(), i + 1, "{selector:?}");
@@ -556,7 +556,7 @@ mod tests {
         // The deterministic selector is one STA pass and borrows nothing.
         let optimizer = Optimizer::new(Objective::percentile(0.99), SelectorKind::Deterministic);
         assert!(optimizer
-            .sweep(&circuit, Deadline::after(Duration::ZERO), Some(&pool))
+            .sweep(&mut circuit, Deadline::after(Duration::ZERO), Some(&pool))
             .is_ok());
         assert_eq!((pool.spare(), pool.lent_sweeps()), (2, STATISTICAL.len()));
     }
@@ -565,13 +565,16 @@ mod tests {
     fn lent_threads_do_not_change_the_selection() {
         let nl = bench::c17();
         let lib = CellLibrary::synthetic_180nm();
-        let circuit = TimedCircuit::new(&nl, &lib, VariationModel::paper_default(), 1.0);
+        let mut circuit = TimedCircuit::new(&nl, &lib, VariationModel::paper_default(), 1.0);
         for selector in STATISTICAL {
             let optimizer = Optimizer::new(Objective::percentile(0.99), selector).with_threads(1);
-            let alone = optimizer.sweep(&circuit, Deadline::none(), None).unwrap().0;
+            let alone = optimizer
+                .sweep(&mut circuit, Deadline::none(), None)
+                .unwrap()
+                .0;
             let pool = SpareThreads::new(3, 3);
             let lent = optimizer
-                .sweep(&circuit, Deadline::none(), Some(&pool))
+                .sweep(&mut circuit, Deadline::none(), Some(&pool))
                 .unwrap()
                 .0;
             assert_eq!(alone, lent, "{selector:?}");

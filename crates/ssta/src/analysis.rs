@@ -157,6 +157,12 @@ impl SstaUndo {
     pub fn perturbed_nodes(&self) -> usize {
         self.prior.len()
     }
+
+    /// The nodes the update recomputed: the whole fan-out cone of the
+    /// changed gates' outputs, up to and including the sink.
+    pub fn recomputed_nodes(&self) -> impl Iterator<Item = TimingNode> + '_ {
+        self.prior.iter().map(|&(node, _)| node)
+    }
 }
 
 #[cfg(test)]
@@ -261,6 +267,29 @@ mod tests {
 
         let full = SstaAnalysis::run(&graph, &delays);
         assert_eq!(ssta, full, "incremental and full SSTA must agree exactly");
+    }
+
+    /// The update recomputes the changed gates' outputs and everything
+    /// downstream of them: a set closed under fan-out.
+    #[test]
+    fn recomputed_nodes_are_closed_under_fan_out() {
+        let nl = bench::c17();
+        let (graph, delays, mut ssta) = analyze(&nl, 0.5);
+        for gate in nl.gate_ids() {
+            let affected = ArcDelays::affected_by_resize(&nl, gate);
+            let undo = ssta.update_after_delay_change(&graph, &delays, &affected);
+            let recomputed: std::collections::HashSet<TimingNode> =
+                undo.recomputed_nodes().collect();
+            for &g in &affected {
+                assert!(recomputed.contains(&graph.out_node_of_gate(g)));
+            }
+            for &node in &recomputed {
+                for out in graph.out_nodes(node) {
+                    assert!(recomputed.contains(out), "{node} -> {out} left out");
+                }
+            }
+            ssta.apply_undo(undo);
+        }
     }
 
     #[test]

@@ -133,6 +133,94 @@ fn identical_on_benchmark_profiles_at_fine_dt() {
     }
 }
 
+/// `Optimizer::run` reuses parked Figure-7 bounds across its sweeps;
+/// `PrunedSelector::select_with_stats` initializes every candidate. The
+/// reusing run, a cold loop of the public selector, and brute force must
+/// walk one trajectory, gate and sensitivity bits alike, on one and two
+/// threads. Serially, reuse must not move a single candidate between
+/// pruned and completed. Returns the bounds the runs reused.
+fn assert_reuse_is_invisible(nl: &Netlist, dt: f64, steps: usize) -> usize {
+    let lib = CellLibrary::synthetic_180nm();
+    let obj = Objective::percentile(0.99);
+    let mut reused = 0;
+    for threads in [1, 2] {
+        let mut reusing = TimedCircuit::new(nl, &lib, VariationModel::paper_default(), dt);
+        let run = Optimizer::new(obj, SelectorKind::Pruned)
+            .with_threads(threads)
+            .with_max_iterations(steps)
+            .run(&mut reusing);
+        let mut records = run.iterations.iter();
+        let mut cold = TimedCircuit::new(nl, &lib, VariationModel::paper_default(), dt);
+        let pruned = PrunedSelector::new(1.0).with_threads(threads);
+        let brute = BruteForceSelector::new(1.0).with_threads(threads);
+        for step in 0..steps {
+            let (p, stats) = pruned.select_with_stats(&cold, obj);
+            let b = brute.select(&cold, obj);
+            let at = format!("{} dt {dt}, threads {threads}, step {step}", nl.name());
+            assert_eq!(b, p, "{at}: pruned vs brute");
+            let Some(sel) = p else {
+                break;
+            };
+            let r = records
+                .next()
+                .unwrap_or_else(|| panic!("{at}: run stopped early"));
+            assert_eq!(
+                (r.gate, r.sensitivity.to_bits()),
+                (sel.gate, sel.sensitivity.to_bits()),
+                "{at}: reusing run vs cold loop"
+            );
+            let warm = r.prune.expect("pruned sweeps record stats");
+            if threads == 1 {
+                assert_eq!(
+                    (warm.pruned, warm.completed),
+                    (stats.pruned, stats.completed),
+                    "{at}: serial pruned/completed split"
+                );
+            }
+            assert_eq!(stats.bounds_reused, 0, "{at}: the public sweep is cold");
+            reused += warm.bounds_reused;
+            cold.commit_resize(sel.gate, 1.0);
+        }
+        assert!(
+            records.next().is_none(),
+            "{} dt {dt}: run went further",
+            nl.name()
+        );
+        assert_eq!(reusing.sizes(), cold.sizes());
+    }
+    reused
+}
+
+#[test]
+fn reused_bounds_leave_trajectories_identical() {
+    let cases = [
+        (bench::c17(), 1.0, 8),
+        (shapes::grid("g", 4, 4), 1.0, 6),
+        (shapes::diamond("d", 4), 0.25, 4),
+        (
+            generator::generate_iscas("c432", 11).expect("known profile"),
+            2.0,
+            3,
+        ),
+    ];
+    let reused: usize = cases
+        .iter()
+        .map(|(nl, dt, steps)| assert_reuse_is_invisible(nl, *dt, *steps))
+        .sum();
+    assert!(reused > 0, "no bound was reused");
+}
+
+/// The same on the fine-grid campaign profiles: run with
+/// `cargo test --release -q --test exactness -- --ignored`.
+#[test]
+#[ignore = "slow: run in release with --ignored"]
+fn reused_bounds_leave_fine_dt_profile_trajectories_identical() {
+    for name in ["c432", "c880"] {
+        let nl = generator::generate_iscas(name, 1).expect("known profile");
+        assert!(assert_reuse_is_invisible(&nl, 0.25, 3) > 0, "{name}");
+    }
+}
+
 #[test]
 fn unbounded_lookahead_heuristic_equals_brute_force() {
     let nl = shapes::grid("g", 3, 4);
