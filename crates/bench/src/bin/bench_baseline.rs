@@ -4,6 +4,9 @@
 //! Measures the same operations as the `dist_ops` criterion bench —
 //! convolution, independent max, percentile query, and the whole-bin
 //! shift measure — plus the allocation-free `_into`/fused variants,
+//! sweep-shaped rows whose outputs trim their tails
+//! (`{convolve_into,max_independent,convolve_max_fused}/tail{521x55,2083x217}`,
+//! at dt = 1 and 0.25; the ±3σ `arrival_like` rows never trim),
 //! wide-arrival rows (2048/4096/8192 bins), per-backend rows
 //! (`convolve/1024/{scalar,simd}`, the in-situ delay×arrival shapes
 //! `convolve/{55x650,190x3100}/<backend>` on every backend the CPU runs,
@@ -65,6 +68,19 @@ fn bell(bins: usize) -> Dist {
 
 fn delay_like() -> Dist {
     TruncatedGaussian::from_nominal(100.0, 0.1, 3.0).discretize(1.0)
+}
+
+/// An arrival and an arc delay shaped like a sizing sweep's at lattice
+/// step `dt`: the arrival's Gaussian tails are cut only by the lattice's
+/// own `1e-12` trim (about ±7σ, 521 bins at dt = 1), the delay is
+/// truncated at ±3σ (55 taps at dt = 1). Unlike the ±3σ
+/// [`arrival_like`] inputs, whose outputs never trim, convolving these
+/// or taking their max trims the output's tails, as most operations in
+/// a sweep do.
+fn sweep_like(dt: f64) -> (Dist, Dist) {
+    let arrival = TruncatedGaussian::new(1000.0, 37.0, 9.0).discretize(dt);
+    let delay = TruncatedGaussian::new(100.0, 9.0, 3.0).discretize(dt);
+    (arrival, delay)
 }
 
 /// Measurement effort: full baseline recording or the CI smoke profile.
@@ -259,6 +275,40 @@ fn main() {
             format!("max_percentile_shift/{bins}"),
             measure(effort, || {
                 black_box(max_percentile_shift(black_box(&arrival), &other));
+            }),
+        );
+    }
+    // Sweep-shaped inputs whose outputs trim: the rows above never do.
+    for dt in [1.0, 0.25] {
+        let (arrival, delay) = sweep_like(dt);
+        let other = arrival.shift_bins(arrival.support_len() as i64 / 10);
+        let shape = format!("tail{}x{}", arrival.support_len(), delay.support_len());
+        let raw = arrival.support_len() + delay.support_len() - 1;
+        assert!(
+            arrival.convolve(&delay).support_len() < raw,
+            "{shape}: the convolution must trim"
+        );
+        let mut scratch = DistScratch::new();
+        record(
+            format!("convolve_into/{shape}"),
+            measure(effort, || {
+                let r = black_box(black_box(&arrival).convolve_into(&delay, &mut scratch));
+                scratch.recycle(r);
+            }),
+        );
+        record(
+            format!("max_independent/{shape}"),
+            measure(effort, || {
+                let r = black_box(black_box(&arrival).max_independent_into(&other, &mut scratch));
+                scratch.recycle(r);
+            }),
+        );
+        record(
+            format!("convolve_max_fused/{shape}"),
+            measure(effort, || {
+                let r =
+                    black_box(black_box(&arrival).convolve_max_into(&other, &delay, &mut scratch));
+                scratch.recycle(r);
             }),
         );
     }

@@ -119,9 +119,9 @@ use crate::parallel::{default_threads, normalize_threads, run_workers, SharedMax
 use crate::selection::Selection;
 use statsize_dist::{lattice_shift_bound, DistScratch};
 use statsize_netlist::GateId;
-use statsize_ssta::{ConeWalk, EdgeConvMemo, SstaAnalysis, StepReport, TimingNode};
+use statsize_ssta::{ConeWalk, EdgeConvMemo, NodeMap, SstaAnalysis, StepReport, TimingNode};
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
 use std::sync::{Barrier, Mutex, OnceLock};
 
@@ -234,7 +234,7 @@ struct Candidate<'a> {
     gate: GateId,
     walk: ConeWalk<'a>,
     /// `Δi` per active front node.
-    front: HashMap<TimingNode, FrontBound>,
+    front: NodeMap<TimingNode, FrontBound>,
     /// Current bound `Smx = Δmx/Δw` (valid once initialization finished).
     smx: f64,
 }
@@ -590,7 +590,7 @@ impl PrunedSelector {
         let mut cand = Candidate {
             gate,
             walk,
-            front: HashMap::new(),
+            front: NodeMap::default(),
             smx: f64::NEG_INFINITY,
         };
         let own_level = circuit

@@ -13,8 +13,10 @@
 //! per instruction set. A block of output columns lives in vector
 //! registers (`LANES` columns per vector × `ACCS` accumulators) while
 //! every tap that overlaps the block is added in ascending order; the
-//! block is then stored once and folded into the index-order total.
-//! Each output bin is therefore written exactly once, instead of once per
+//! block is then stored once, and its columns are fed one per tap of the
+//! next block to the one-pass normalization (`TailFold`), which trims the
+//! lower tail and folds the survivors while the kernel still runs. Each
+//! output bin is therefore written exactly once, instead of once per
 //! tap block, so a wide output never has to stream through L1 more than
 //! once. Operands are read from a zero-padded copy of the long operand,
 //! held in the caller's [`DistScratch`], so edge blocks need no special
@@ -46,6 +48,7 @@
 // bit-for-bit to safe scalar code by tests.
 #![allow(unsafe_code)]
 
+use crate::lattice::TailFold;
 use crate::scratch::DistScratch;
 use std::sync::OnceLock;
 
@@ -176,23 +179,27 @@ impl KernelBackend {
     }
 }
 
-/// Raw discrete convolution of two mass vectors into `out` (cleared
-/// first), on the process-wide [`KernelBackend::active`] backend, with
-/// the zero-padded operand copy held in `scratch`. Returns the left-fold
-/// total `Σ out[k]` in index order — bit-identical to folding `out` from
-/// `0.0` — folded in as output blocks become final, so the normalization
-/// pass needs no separate summation sweep.
-pub(crate) fn convolve_raw(
+/// Normalized discrete convolution of two mass vectors into `out`
+/// (cleared first) on `backend`, with the zero-padded operand copy held
+/// in `scratch`. The kernel feeds every output column through a
+/// [`TailFold`] as it becomes final, so normalization needs no summation
+/// pass of its own. Returns the number of bins trimmed from the lower
+/// tail.
+pub(crate) fn convolve_normalized(
+    backend: KernelBackend,
     a: &[f64],
     b: &[f64],
     out: &mut Vec<f64>,
     scratch: &mut DistScratch,
-) -> f64 {
-    convolve_raw_with(KernelBackend::active(), a, b, out, &mut scratch.pad)
+) -> usize {
+    let mut fold = TailFold::new(a.len() + b.len() - 1);
+    convolve_checked(backend, a, b, out, &mut scratch.pad, &mut fold);
+    fold.finish(out)
 }
 
-/// The dense convolution kernel on an explicitly forced backend — the
-/// test and bench surface behind the bit-identity contract.
+/// The raw (unnormalized) dense convolution on an explicitly forced
+/// backend — the test surface behind the bit-identity contract. Returns
+/// the untrimmed left-fold total `Σ out[k]` in index order.
 ///
 /// Every mass must be finite and non-negative, as
 /// [`Dist::new`](crate::Dist::new) enforces for every distribution: the
@@ -209,18 +216,22 @@ pub fn convolve_with_backend(
     b: &[f64],
     out: &mut Vec<f64>,
 ) -> f64 {
-    convolve_checked(backend, a, b, out, &mut Vec::new())
+    let mut fold = TailFold::new((a.len() + b.len()).saturating_sub(1));
+    convolve_checked(backend, a, b, out, &mut Vec::new(), &mut fold);
+    out.iter().fold(0.0, |total, &v| total + v)
 }
 
-/// [`convolve_with_backend`] with the padded operand copy in `pad` (a
-/// [`DistScratch`]'s, for [`Dist::convolve_dense`](crate::Dist::convolve_dense)).
-pub(crate) fn convolve_checked(
+/// Validates the backend and operands, then convolves into `out`,
+/// feeding every output column to `fold` in index order.
+#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
+fn convolve_checked(
     backend: KernelBackend,
     a: &[f64],
     b: &[f64],
     out: &mut Vec<f64>,
     pad: &mut Vec<f64>,
-) -> f64 {
+    fold: &mut TailFold,
+) {
     assert!(
         backend.is_available(),
         "kernel backend {backend:?} is not available on this CPU"
@@ -229,7 +240,28 @@ pub(crate) fn convolve_checked(
         !a.is_empty() && !b.is_empty(),
         "mass vectors must be non-empty"
     );
-    convolve_raw_with(backend, a, b, out, pad)
+    debug_assert!(
+        valid_masses(a) && valid_masses(b),
+        "convolution masses must be finite and non-negative"
+    );
+    // The shorter operand supplies the taps (`a` on a tie, so the
+    // per-column tap order is a fixed function of the operands).
+    let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+    match backend {
+        KernelBackend::Scalar => convolve_scalar(short, long, out, fold),
+        // SAFETY (all three arms): the assertion above admits only a
+        // backend whose features the CPU reports.
+        #[cfg(target_arch = "x86_64")]
+        KernelBackend::Sse2 => unsafe { x86::convolve_sse2(short, long, out, pad, fold) },
+        #[cfg(target_arch = "x86_64")]
+        KernelBackend::Avx2 => unsafe { x86::convolve_avx2(short, long, out, pad, fold) },
+        #[cfg(target_arch = "x86_64")]
+        KernelBackend::Avx512 => unsafe { x86::convolve_avx512(short, long, out, pad, fold) },
+        // A backend from another architecture can only be *named* here,
+        // never selected (is_available is false); fall back to scalar.
+        #[allow(unreachable_patterns)]
+        _ => convolve_scalar(short, long, out, fold),
+    }
 }
 
 /// Whether every mass is finite and non-negative (the kernel's input
@@ -238,42 +270,9 @@ fn valid_masses(m: &[f64]) -> bool {
     m.iter().all(|&v| v.is_finite() && v >= 0.0)
 }
 
-/// Dispatch: the shorter operand supplies the taps (`a` on a tie, so the
-/// per-column tap order is a fixed function of the operands).
-#[cfg_attr(not(target_arch = "x86_64"), allow(unused_variables))]
-fn convolve_raw_with(
-    backend: KernelBackend,
-    a: &[f64],
-    b: &[f64],
-    out: &mut Vec<f64>,
-    pad: &mut Vec<f64>,
-) -> f64 {
-    debug_assert!(
-        valid_masses(a) && valid_masses(b),
-        "convolution masses must be finite and non-negative"
-    );
-    let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    match backend {
-        KernelBackend::Scalar => convolve_scalar(short, long, out),
-        // SAFETY (all three arms): `KernelBackend::active` and
-        // `convolve_checked` only select a backend whose features the
-        // CPU reports.
-        #[cfg(target_arch = "x86_64")]
-        KernelBackend::Sse2 => unsafe { x86::convolve_sse2(short, long, out, pad) },
-        #[cfg(target_arch = "x86_64")]
-        KernelBackend::Avx2 => unsafe { x86::convolve_avx2(short, long, out, pad) },
-        #[cfg(target_arch = "x86_64")]
-        KernelBackend::Avx512 => unsafe { x86::convolve_avx512(short, long, out, pad) },
-        // A backend from another architecture can only be *named* here,
-        // never selected (is_available is false); fall back to scalar.
-        #[allow(unreachable_patterns)]
-        _ => convolve_scalar(short, long, out),
-    }
-}
-
 /// The scalar reference: one pass over the output per tap, taps in
-/// ascending order, then the index-order fold.
-fn convolve_scalar(short: &[f64], long: &[f64], out: &mut Vec<f64>) -> f64 {
+/// ascending order, then the index-order pass through `fold`.
+fn convolve_scalar(short: &[f64], long: &[f64], out: &mut Vec<f64>, fold: &mut TailFold) {
     out.clear();
     out.resize(short.len() + long.len() - 1, 0.0);
     for (k, &tap) in short.iter().enumerate() {
@@ -281,7 +280,9 @@ fn convolve_scalar(short: &[f64], long: &[f64], out: &mut Vec<f64>) -> f64 {
             *o += tap * x;
         }
     }
-    out.iter().fold(0.0, |total, &v| total + v)
+    for &v in out.iter() {
+        fold.feed(v);
+    }
 }
 
 /// The widest block any backend uses (AVX-512: 8 lanes × 8
@@ -332,7 +333,8 @@ unsafe fn convolve_stationary<V: Lanes, const ACCS: usize>(
     long: &[f64],
     out: &mut Vec<f64>,
     pad: &mut Vec<f64>,
-) -> f64 {
+    fold: &mut TailFold,
+) {
     const { assert!(V::LANES * ACCS <= MAX_BLOCK) };
     let block = V::LANES * ACCS;
     let (m, l) = (short.len(), long.len());
@@ -349,11 +351,13 @@ unsafe fn convolve_stationary<V: Lanes, const ACCS: usize>(
     let dst = out.as_mut_ptr();
     let src = pad.as_ptr();
     let mut tail = [0.0f64; MAX_BLOCK];
-    let mut total = 0.0;
-    // out[folded .. j0] is final but not yet in `total`. Those columns
-    // are folded one per tap of the next block, so the serial chain of
-    // scalar adds overlaps the block's vector work instead of following
-    // it.
+    // A local copy, so the fold's state stays in registers through the
+    // tap loop instead of going back to `*fold` on every column.
+    let mut f = *fold;
+    // out[folded .. j0] is final but not yet fed to `fold`. Those columns
+    // are fed one per tap of the next block, so the serial chain of
+    // scalar trim tests and adds overlaps the block's vector work instead
+    // of following it.
     let mut folded = 0;
     let mut j0 = 0;
     while j0 < n {
@@ -373,13 +377,13 @@ unsafe fn convolve_stationary<V: Lanes, const ACCS: usize>(
             }
             if folded < j0 {
                 // SAFETY: folded < j0, so an earlier block wrote it.
-                total += *dst.add(folded);
+                f.feed(*dst.add(folded));
                 folded += 1;
             }
         }
         while folded < j0 {
             // SAFETY: as above.
-            total += *dst.add(folded);
+            f.feed(*dst.add(folded));
             folded += 1;
         }
         let cols = block.min(n - j0);
@@ -401,14 +405,14 @@ unsafe fn convolve_stationary<V: Lanes, const ACCS: usize>(
     // SAFETY: the loop above initialized out[0 .. n], within capacity.
     out.set_len(n);
     for &v in &out[folded..] {
-        total += v;
+        f.feed(v);
     }
-    total
+    *fold = f;
 }
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{convolve_stationary, Lanes};
+    use super::{convolve_stationary, Lanes, TailFold};
     use std::arch::x86_64::*;
 
     impl Lanes for __m128d {
@@ -494,8 +498,9 @@ mod x86 {
         long: &[f64],
         out: &mut Vec<f64>,
         pad: &mut Vec<f64>,
-    ) -> f64 {
-        convolve_stationary::<__m128d, 12>(short, long, out, pad)
+        fold: &mut TailFold,
+    ) {
+        convolve_stationary::<__m128d, 12>(short, long, out, pad, fold)
     }
 
     /// AVX2 instantiation: 4 lanes × 12 accumulators (12 of the 16 ymm
@@ -510,8 +515,9 @@ mod x86 {
         long: &[f64],
         out: &mut Vec<f64>,
         pad: &mut Vec<f64>,
-    ) -> f64 {
-        convolve_stationary::<__m256d, 12>(short, long, out, pad)
+        fold: &mut TailFold,
+    ) {
+        convolve_stationary::<__m256d, 12>(short, long, out, pad, fold)
     }
 
     /// AVX-512F instantiation: 8 lanes × 8 accumulators.
@@ -525,8 +531,9 @@ mod x86 {
         long: &[f64],
         out: &mut Vec<f64>,
         pad: &mut Vec<f64>,
-    ) -> f64 {
-        convolve_stationary::<__m512d, 8>(short, long, out, pad)
+        fold: &mut TailFold,
+    ) {
+        convolve_stationary::<__m512d, 8>(short, long, out, pad, fold)
     }
 }
 

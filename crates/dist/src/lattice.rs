@@ -170,23 +170,16 @@ impl Dist {
     /// to ≈ 1.
     pub(crate) fn from_raw(dt: f64, offset: i64, mass: Vec<f64>) -> Self {
         let mut mass = mass;
-        let offset = normalize_raw(&mut mass, offset);
-        Self { dt, offset, mass }
-    }
-
-    /// [`from_raw`](Dist::from_raw) for kernels that already accumulated
-    /// `Σ mass` in index order while writing the buffer: skips the
-    /// renormalization's own summation pass when no tail is trimmed.
-    /// That is the minority case: most normalizations in a sizing sweep
-    /// do trim, and re-sum. `untrimmed_total` must be bit-identical to
-    /// `mass.iter().sum()` — the left-fold over the full buffer — which
-    /// holds when the kernel sums exactly the values it pushes, in push
-    /// order. When tails do get trimmed the total is recomputed, so
-    /// results never deviate from [`from_raw`](Dist::from_raw).
-    fn from_raw_summed(dt: f64, offset: i64, mass: Vec<f64>, untrimmed_total: f64) -> Self {
-        let mut mass = mass;
-        let offset = normalize_raw_summed(&mut mass, offset, untrimmed_total);
-        Self { dt, offset, mass }
+        let mut fold = TailFold::new(mass.len());
+        for &m in &mass {
+            fold.feed(m);
+        }
+        let lo = fold.finish(&mut mass);
+        Self {
+            dt,
+            offset: offset + lo as i64,
+            mass,
+        }
     }
 
     /// A [`Clone`] whose mass buffer is drawn from `scratch` instead of
@@ -361,10 +354,7 @@ impl Dist {
     ///
     /// Panics if the lattice steps differ.
     pub fn convolve_into(&self, other: &Dist, scratch: &mut DistScratch) -> Dist {
-        self.assert_same_lattice(other);
-        let mut out = scratch.take();
-        let total = kernel::convolve_raw(&self.mass, &other.mass, &mut out, scratch);
-        Dist::from_raw_summed(self.dt, self.offset + other.offset, out, total)
+        self.convolve_dense(other, KernelBackend::active(), scratch)
     }
 
     /// [`convolve`](Dist::convolve) on an explicitly forced dense SIMD
@@ -384,9 +374,12 @@ impl Dist {
     ) -> Dist {
         self.assert_same_lattice(other);
         let mut out = scratch.take();
-        let total =
-            kernel::convolve_checked(backend, &self.mass, &other.mass, &mut out, &mut scratch.pad);
-        Dist::from_raw_summed(self.dt, self.offset + other.offset, out, total)
+        let lo = kernel::convolve_normalized(backend, &self.mass, &other.mass, &mut out, scratch);
+        Dist {
+            dt: self.dt,
+            offset: self.offset + other.offset + lo as i64,
+            mass: out,
+        }
     }
 
     /// The maximum of two *independent* lattice variables: the output
@@ -410,8 +403,12 @@ impl Dist {
     pub fn max_independent_into(&self, other: &Dist, scratch: &mut DistScratch) -> Dist {
         self.assert_same_lattice(other);
         let mut out = scratch.take();
-        let (lo, total) = max_raw(self.offset, &self.mass, other.offset, &other.mass, &mut out);
-        Dist::from_raw_summed(self.dt, lo, out, total)
+        let offset = max_normalized(self.offset, &self.mass, other.offset, &other.mass, &mut out);
+        Dist {
+            dt: self.dt,
+            offset,
+            mass: out,
+        }
     }
 
     /// Fused edge-convolve + fan-in max:
@@ -437,12 +434,22 @@ impl Dist {
         self.assert_same_lattice(upstream);
         upstream.assert_same_lattice(delay);
         let mut conv = scratch.take();
-        let conv_total = kernel::convolve_raw(&upstream.mass, &delay.mass, &mut conv, scratch);
-        let conv_off = normalize_raw_summed(&mut conv, upstream.offset + delay.offset, conv_total);
+        let conv_lo = kernel::convolve_normalized(
+            KernelBackend::active(),
+            &upstream.mass,
+            &delay.mass,
+            &mut conv,
+            scratch,
+        );
+        let conv_off = upstream.offset + delay.offset + conv_lo as i64;
         let mut out = scratch.take();
-        let (lo, total) = max_raw(self.offset, &self.mass, conv_off, &conv, &mut out);
+        let offset = max_normalized(self.offset, &self.mass, conv_off, &conv, &mut out);
         scratch.put(conv);
-        Dist::from_raw_summed(self.dt, lo, out, total)
+        Dist {
+            dt: self.dt,
+            offset,
+            mass: out,
+        }
     }
 
     /// The minimum of two *independent* lattice variables: the survival
@@ -507,10 +514,20 @@ impl Dist {
         let mut reflected = scratch.take();
         reflected.extend(other.mass.iter().rev());
         let mut out = scratch.take();
-        let total = kernel::convolve_raw(&self.mass, &reflected, &mut out, scratch);
+        let lo = kernel::convolve_normalized(
+            KernelBackend::active(),
+            &self.mass,
+            &reflected,
+            &mut out,
+            scratch,
+        );
         scratch.put(reflected);
         let offset = self.offset - (other.offset + other.mass.len() as i64 - 1);
-        Dist::from_raw_summed(self.dt, offset, out, total)
+        Dist {
+            dt: self.dt,
+            offset: offset + lo as i64,
+            mass: out,
+        }
     }
 
     /// The distribution translated by a whole number of lattice bins
@@ -533,79 +550,129 @@ impl Dist {
     }
 }
 
-/// Trims negligible tails and renormalizes `mass` in place (the shared
-/// finishing pass of every lattice operator); returns the adjusted first
-/// bin. Trimming keeps the buffer's capacity, so recycled buffers retain
-/// the room trimmed off earlier results.
-fn normalize_raw(mass: &mut Vec<f64>, offset: i64) -> i64 {
-    let total = mass.iter().sum();
-    normalize_raw_summed(mass, offset, total)
+/// The one normalization pass every lattice producer runs, fed one
+/// output column at a time in index order while the producer writes it.
+///
+/// A column still at the lower edge is trimmed when `c + 1 < n` and
+/// `cut + m ≤ TRIM_EPS` (the mass cut so far plus its own): at most
+/// [`TRIM_EPS`] leaves the lower tail, and the buffer never empties. The
+/// first column that fails the test ends the lower tail; it and every
+/// later column survive it, and are folded from `+0.0` in index order.
+/// [`finish`](TailFold::finish) then trims the upper tail by the same
+/// rule, scanning from the end, and shifts and divides in one pass.
+///
+/// The upper trim only reaches columns of mass `≤ TRIM_EPS`, so the
+/// last survivor heavier than that (or the first survivor, if none is)
+/// always survives it. The pass keeps the running fold at that column,
+/// the checkpoint; `finish` finds the column again by scanning back over
+/// the light survivors and continues the fold from it over them, which
+/// reproduces the running fold at the last survivor exactly, with no
+/// summation pass.
+///
+/// The total is bit-identical to `mass[lo..hi].iter().sum()`: Rust's
+/// float `Sum` folds from `−0.0` in index order, and `−0.0 + x = x` for
+/// every `x ≥ +0.0`. The division stays a true division: multiplying by
+/// the reciprocal rounds differently.
+#[derive(Clone, Copy)]
+pub(crate) struct TailFold {
+    /// Output length `n`, known to every producer before it starts.
+    len: usize,
+    /// Columns trimmed from the lower tail so far.
+    lo: usize,
+    /// Mass trimmed from the lower tail so far.
+    cut: f64,
+    /// Whether the lower tail is still open (no column survived yet).
+    open: bool,
+    /// Index-order fold of the survivors fed so far.
+    total: f64,
+    /// The running fold at the checkpoint: the last survivor heavier than
+    /// `TRIM_EPS`, or the first survivor if none is.
+    check_total: f64,
 }
 
-/// [`normalize_raw`] for kernels that already accumulated `Σ mass` in
-/// index order while writing the buffer: skips the summation pass when no
-/// tail is trimmed. Most normalizations in a sizing sweep do trim
-/// (measured: 94% on a gen1200 descent at dt = 1, 82% on c1355 at
-/// dt = 0.25), so the skip saves the minority. `untrimmed_total` must be
-/// bit-identical to `mass.iter().sum()` — the left-fold over the full
-/// buffer — which holds when the kernel folds exactly the values it
-/// wrote, in index order. When tails do get trimmed the total is
-/// recomputed on the surviving range, so results never deviate from
-/// [`normalize_raw`].
-fn normalize_raw_summed(mass: &mut Vec<f64>, offset: i64, untrimmed_total: f64) -> i64 {
-    let untrimmed_len = mass.len();
-    let (lo, hi) = trim_bounds(mass);
-    // Trim in place: no second allocation on the convolve/max hot path
-    // (lo == 0 and hi == len in the common no-trim case).
-    mass.truncate(hi);
-    if lo > 0 {
-        mass.drain(..lo);
-    }
-    let total = if lo == 0 && hi == untrimmed_len {
-        untrimmed_total
-    } else {
-        mass.iter().sum()
-    };
-    debug_assert!(total > 0.0, "distribution must carry mass");
-    if total != 1.0 {
-        for m in mass.iter_mut() {
-            *m /= total;
+impl TailFold {
+    /// A pass over an output of `len` columns.
+    #[inline(always)]
+    pub(crate) fn new(len: usize) -> Self {
+        Self {
+            len,
+            lo: 0,
+            cut: 0.0,
+            open: true,
+            total: 0.0,
+            check_total: 0.0,
         }
     }
-    offset + lo as i64
+
+    /// Feeds the next column's mass `m`.
+    #[inline(always)]
+    pub(crate) fn feed(&mut self, m: f64) {
+        if self.open {
+            if self.lo + 1 < self.len && self.cut + m <= TRIM_EPS {
+                self.cut += m;
+                self.lo += 1;
+                return;
+            }
+            self.open = false;
+            self.total += m;
+            self.check_total = self.total;
+            return;
+        }
+        self.total += m;
+        if m > TRIM_EPS {
+            self.check_total = self.total;
+        }
+    }
+
+    /// Finishes normalizing `mass` after all `len` columns were fed. The
+    /// survivors are `mass`'s last `n − lo` entries: a producer may write
+    /// trimmed columns or skip them. Trims the upper tail, moves the
+    /// survivors to the front divided by their total, and returns the
+    /// number of columns trimmed from the lower tail. Trimming keeps the
+    /// buffer's capacity, so recycled buffers retain the room trimmed off
+    /// earlier results.
+    pub(crate) fn finish(self, mass: &mut Vec<f64>) -> usize {
+        debug_assert!(!self.open, "every column must be fed before finishing");
+        let start = mass.len() - (self.len - self.lo);
+        let mut hi = mass.len();
+        let mut cut = 0.0;
+        while hi > start + 1 && cut + mass[hi - 1] <= TRIM_EPS {
+            cut += mass[hi - 1];
+            hi -= 1;
+        }
+        let mut check = hi - 1;
+        while check > start && mass[check] <= TRIM_EPS {
+            check -= 1;
+        }
+        let total = mass[check + 1..hi]
+            .iter()
+            .fold(self.check_total, |total, &m| total + m);
+        debug_assert!(total > 0.0, "distribution must carry mass");
+        if start > 0 {
+            mass.copy_within(start..hi, 0);
+        }
+        mass.truncate(hi - start);
+        if total != 1.0 {
+            for m in mass.iter_mut() {
+                *m /= total;
+            }
+        }
+        self.lo
+    }
 }
 
-/// The `[lo, hi)` sub-range of `mass` that survives tail trimming: at
-/// most [`TRIM_EPS`] of mass is cut from each side, never emptying the
-/// buffer.
-fn trim_bounds(mass: &[f64]) -> (usize, usize) {
-    let mut lo = 0usize;
-    let mut cut = 0.0;
-    while lo + 1 < mass.len() && cut + mass[lo] <= TRIM_EPS {
-        cut += mass[lo];
-        lo += 1;
-    }
-    let mut hi = mass.len();
-    cut = 0.0;
-    while hi > lo + 1 && cut + mass[hi - 1] <= TRIM_EPS {
-        cut += mass[hi - 1];
-        hi -= 1;
-    }
-    (lo, hi)
-}
-
-/// Raw independent max into `out` (cleared first): the step-CDF product
-/// over the union support, with both cumulative sums carried as running
-/// prefix sums. Returns the output's first absolute bin and the left-fold
-/// total `Σ out[k]` (accumulated in push order, so it is bit-identical to
-/// `out.iter().sum()` — the normalization pass can reuse it instead of
-/// re-walking the buffer).
+/// Normalized independent max into `out` (cleared first): the step-CDF
+/// product over the union support, with both cumulative sums carried as
+/// running prefix sums, each output column fed through a [`TailFold`] as
+/// it is computed. Every column is written, trimmed ones too: the lower
+/// tail is a few columns, and moving them costs less than a branch on
+/// every push. Returns the output's first absolute bin.
 ///
 /// The union range is split at the support boundaries so the inner loops
 /// run branch-free over plain slices; skipped out-of-support bins
 /// contribute exactly the `+0.0` the naive per-bin loop would add, so
 /// results are bit-identical to it.
-fn max_raw(a_off: i64, a: &[f64], b_off: i64, b: &[f64], out: &mut Vec<f64>) -> (i64, f64) {
+fn max_normalized(a_off: i64, a: &[f64], b_off: i64, b: &[f64], out: &mut Vec<f64>) -> i64 {
     let lo = a_off.max(b_off);
     let sa = &a[((lo - a_off) as usize).min(a.len())..];
     let sb = &b[((lo - b_off) as usize).min(b.len())..];
@@ -613,37 +680,32 @@ fn max_raw(a_off: i64, a: &[f64], b_off: i64, b: &[f64], out: &mut Vec<f64>) -> 
     let mut cb: f64 = b[..b.len() - sb.len()].iter().sum();
     let mut prev = ca * cb; // C(lo − 1): zero unless both started earlier
     debug_assert!(prev == 0.0, "one operand must start at the output support");
+    let n = sa.len().max(sb.len());
     out.clear();
-    out.reserve(sa.len().max(sb.len()));
-    let mut total = 0.0;
+    out.reserve(n);
+    let mut fold = TailFold::new(n);
+    let mut column = |cur: f64| {
+        let m = cur - prev;
+        prev = cur;
+        fold.feed(m);
+        m
+    };
     let both = sa.len().min(sb.len());
-    for (&ma, &mb) in sa[..both].iter().zip(&sb[..both]) {
+    out.extend(sa[..both].iter().zip(&sb[..both]).map(|(&ma, &mb)| {
         ca += ma;
         cb += mb;
-        let cur = ca * cb;
-        let m = cur - prev;
-        total += m;
-        out.push(m);
-        prev = cur;
-    }
+        column(ca * cb)
+    }));
     // Past the shorter support exactly one operand still carries mass.
-    for &ma in &sa[both..] {
+    out.extend(sa[both..].iter().map(|&ma| {
         ca += ma;
-        let cur = ca * cb;
-        let m = cur - prev;
-        total += m;
-        out.push(m);
-        prev = cur;
-    }
-    for &mb in &sb[both..] {
+        column(ca * cb)
+    }));
+    out.extend(sb[both..].iter().map(|&mb| {
         cb += mb;
-        let cur = ca * cb;
-        let m = cur - prev;
-        total += m;
-        out.push(m);
-        prev = cur;
-    }
-    (lo, total)
+        column(ca * cb)
+    }));
+    lo + fold.finish(out) as i64
 }
 
 /// Mass of `(off, mass)` at absolute bin `k` (zero outside the support).
@@ -771,6 +833,225 @@ mod tests {
     // The kernel bit-identity tests live in `kernel.rs` and
     // `tests/kernels.rs`, where they pin every runtime-dispatched
     // backend to the scalar tap-order reference.
+
+    /// The two-pass normalization the one-pass [`TailFold`] replaced,
+    /// kept as its reference: [`trim_bounds`], then `sum` over the
+    /// survivors, then divide.
+    fn normalize_two_pass(mut mass: Vec<f64>, offset: i64) -> (i64, Vec<f64>) {
+        let (lo, hi) = trim_bounds(&mass);
+        mass.truncate(hi);
+        mass.drain(..lo);
+        let total: f64 = mass.iter().sum();
+        if total != 1.0 {
+            for m in &mut mass {
+                *m /= total;
+            }
+        }
+        (offset + lo as i64, mass)
+    }
+
+    /// The `[lo, hi)` sub-range of `mass` that survives tail trimming: at
+    /// most [`TRIM_EPS`] of mass is cut from each side, never emptying
+    /// the buffer.
+    fn trim_bounds(mass: &[f64]) -> (usize, usize) {
+        let mut lo = 0usize;
+        let mut cut = 0.0;
+        while lo + 1 < mass.len() && cut + mass[lo] <= TRIM_EPS {
+            cut += mass[lo];
+            lo += 1;
+        }
+        let mut hi = mass.len();
+        cut = 0.0;
+        while hi > lo + 1 && cut + mass[hi - 1] <= TRIM_EPS {
+            cut += mass[hi - 1];
+            hi -= 1;
+        }
+        (lo, hi)
+    }
+
+    /// The raw tap-order convolution, unnormalized.
+    fn convolve_reference(a: &[f64], b: &[f64]) -> Vec<f64> {
+        let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+        let mut out = vec![0.0; short.len() + long.len() - 1];
+        for (k, &tap) in short.iter().enumerate() {
+            for (o, &x) in out[k..k + long.len()].iter_mut().zip(long) {
+                *o += tap * x;
+            }
+        }
+        out
+    }
+
+    /// The raw independent max, unnormalized: the naive per-bin loop
+    /// over the union support from the later start.
+    fn max_reference(a: &Dist, b: &Dist) -> (i64, Vec<f64>) {
+        let lo = a.offset.max(b.offset);
+        let end = |d: &Dist| d.offset + d.mass.len() as i64;
+        let below = |d: &Dist| -> f64 {
+            d.mass[..((lo - d.offset) as usize).min(d.mass.len())]
+                .iter()
+                .sum()
+        };
+        let (mut ca, mut cb) = (below(a), below(b));
+        let mut prev = ca * cb;
+        let mut out = Vec::new();
+        for k in lo..end(a).max(end(b)) {
+            ca += mass_at(a.offset, &a.mass, k);
+            cb += mass_at(b.offset, &b.mass, k);
+            out.push(ca * cb - prev);
+            prev = ca * cb;
+        }
+        (lo, out)
+    }
+
+    fn dist_of((offset, mass): (i64, Vec<f64>), dt: f64) -> Dist {
+        Dist { dt, offset, mass }
+    }
+
+    fn assert_bits(got: &Dist, want: &Dist, what: &str) {
+        assert_eq!(got.offset, want.offset, "{what}: offset");
+        assert_eq!(got.mass.len(), want.mass.len(), "{what}: support");
+        for (i, (g, w)) in got.mass.iter().zip(&want.mass).enumerate() {
+            assert_eq!(g.to_bits(), w.to_bits(), "{what}: bin {i}: {g} vs {w}");
+        }
+    }
+
+    /// Every operator of `a` and `b` against the two-pass reference, bit
+    /// for bit: `convolve_into`, `convolve_dense` on every available
+    /// backend, `max_independent_into`, `convolve_max_into`,
+    /// `subtract_into`.
+    fn assert_ops_match_two_pass(a: &Dist, b: &Dist, scratch: &mut DistScratch) {
+        let dt = a.dt;
+        let conv = |x: &Dist, y: &Dist| {
+            normalize_two_pass(convolve_reference(&x.mass, &y.mass), x.offset + y.offset)
+        };
+        let want = dist_of(conv(a, b), dt);
+        assert_bits(&a.convolve_into(b, scratch), &want, "convolve_into");
+        for backend in KernelBackend::ALL {
+            if backend.is_available() {
+                let got = a.convolve_dense(b, backend, scratch);
+                assert_bits(&got, &want, &format!("convolve_dense {backend:?}"));
+                scratch.recycle(got);
+            }
+        }
+        let (lo, raw) = max_reference(a, b);
+        let want = dist_of(normalize_two_pass(raw, lo), dt);
+        assert_bits(
+            &a.max_independent_into(b, scratch),
+            &want,
+            "max_independent_into",
+        );
+        let delay = a;
+        let upstream = b.shift_bins(-(a.mass.len() as i64) / 2);
+        let edge = dist_of(conv(&upstream, delay), dt);
+        let (lo, raw) = max_reference(a, &edge);
+        let want = dist_of(normalize_two_pass(raw, lo), dt);
+        let got = a.convolve_max_into(&upstream, delay, scratch);
+        assert_bits(&got, &want, "convolve_max_into");
+        let reflected: Vec<f64> = b.mass.iter().rev().copied().collect();
+        let offset = a.offset - (b.offset + b.mass.len() as i64 - 1);
+        let want = dist_of(
+            normalize_two_pass(convolve_reference(&a.mass, &reflected), offset),
+            dt,
+        );
+        assert_bits(&a.subtract_into(b, scratch), &want, "subtract_into");
+    }
+
+    /// A mass vector from body weights in `(0, 1]` (a weight of 0 is an
+    /// interior zero) and tails of given masses, divided by its sum so
+    /// `Dist::new` accepts it.
+    fn tailed(lower: &[f64], body: &[f64], upper: &[f64]) -> Vec<f64> {
+        let mut m: Vec<f64> = lower.iter().chain(body).chain(upper).copied().collect();
+        let total: f64 = m.iter().sum();
+        for v in &mut m {
+            *v /= total;
+        }
+        m
+    }
+
+    /// `Dist::new` against the two-pass reference, bit for bit.
+    fn assert_new_matches_two_pass(mass: &[f64]) -> Dist {
+        let got = Dist::new(1.0, 7, mass.to_vec()).unwrap();
+        let want = dist_of(normalize_two_pass(mass.to_vec(), 7), 1.0);
+        assert_bits(&got, &want, &format!("Dist::new {mass:?}"));
+        got
+    }
+
+    /// The one-pass normalization on the cases that decide a trim: no
+    /// trim, lower only, upper only, all but one bin, n = 1 and 2, a
+    /// total of exactly 1.0, interior zeros and subnormals.
+    #[test]
+    fn one_pass_normalization_matches_two_pass_on_edge_cases() {
+        let sub = f64::MIN_POSITIVE / 8.0;
+        let cases: Vec<Vec<f64>> = vec![
+            vec![0.25, 0.5, 0.25],                      // no trim, total exactly 1
+            vec![0.3, 0.3, 0.4000001],                  // no trim, total ≠ 1
+            vec![4e-13, 5e-13, 0.5, 0.5],               // lower only
+            vec![0.5, 0.5, 6e-13, 3e-13],               // upper only
+            vec![1e-12, 0.5, 0.5, 1e-12],               // both, at exactly the threshold
+            vec![6e-13, 6e-13, 0.5, 0.5, 6e-13, 6e-13], // the second tail bin survives
+            vec![0.5, 0.5, 1e-12, 6e-13, 6e-13],        // a light survivor of exactly 1e-12
+            vec![1e-13, 2e-13, 1.0, 3e-13, 4e-13],      // all but one bin
+            vec![1.0],                                  // n = 1
+            vec![1e-13, 1.0],                           // n = 2, lower
+            vec![1.0, 1e-13],                           // n = 2, upper
+            vec![0.5, 0.5],                             // n = 2, none
+            vec![0.0, sub, 0.3, 0.0, 0.0, 0.7, sub, 0.0],
+            vec![sub, 0.25, 0.0, sub, 0.75],
+        ];
+        for mass in &cases {
+            assert_new_matches_two_pass(mass);
+        }
+        let mut scratch = DistScratch::new();
+        for a in &cases {
+            for b in &cases {
+                let a = Dist::new(1.0, 3, a.clone()).unwrap();
+                let b = Dist::new(1.0, -2, b.clone()).unwrap();
+                assert_ops_match_two_pass(&a, &b, &mut scratch);
+            }
+        }
+    }
+
+    /// A tail mass whose partial sums straddle [`TRIM_EPS`].
+    fn tail_mass(pick: u64) -> f64 {
+        const TAILS: [f64; 10] = [
+            0.0, 1e-14, 1e-13, 4e-13, 6e-13, 1e-12, 1.5e-12, 3e-12, 1e-9, 1e-6,
+        ];
+        if pick == 10 {
+            f64::MIN_POSITIVE / 16.0 // subnormal
+        } else {
+            TAILS[(pick % 10) as usize]
+        }
+    }
+
+    proptest::proptest! {
+        /// One-pass ≡ two-pass, bit for bit, on every producer, with
+        /// tails straddling the trim threshold and bodies wide enough to
+        /// cross the SIMD kernels' 24-, 48- and 64-column blocks.
+        #[test]
+        fn one_pass_matches_two_pass_property(
+            la in proptest::collection::vec(0u64..11, 0usize..6),
+            body_a in proptest::collection::vec(0u64..1000, 1usize..90),
+            ua in proptest::collection::vec(0u64..11, 0usize..6),
+            lb in proptest::collection::vec(0u64..11, 0usize..6),
+            body_b in proptest::collection::vec(0u64..1000, 1usize..160),
+            ub in proptest::collection::vec(0u64..11, 0usize..6),
+        ) {
+            let tail = |t: &[u64]| -> Vec<f64> { t.iter().map(|&p| tail_mass(p)).collect() };
+            // Every fifth body weight is an interior zero.
+            let body = |w: &[u64]| -> Vec<f64> {
+                w.iter().map(|&x| if x % 5 == 0 { 0.0 } else { x as f64 / 1000.0 }).collect()
+            };
+            let (wa, wb) = (body(&body_a), body(&body_b));
+            if wa.iter().all(|&x| x == 0.0) || wb.iter().all(|&x| x == 0.0) {
+                return Ok(());
+            }
+            let a = assert_new_matches_two_pass(&tailed(&tail(&la), &wa, &tail(&ua)));
+            let b = assert_new_matches_two_pass(&tailed(&tail(&lb), &wb, &tail(&ub)));
+            let mut scratch = DistScratch::new();
+            assert_ops_match_two_pass(&a, &b, &mut scratch);
+            assert_ops_match_two_pass(&b, &a, &mut scratch);
+        }
+    }
 
     #[test]
     fn convolve_adds_means_and_variances() {

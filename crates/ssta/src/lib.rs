@@ -55,6 +55,7 @@
 mod analysis;
 mod delays;
 mod graph;
+mod hash;
 mod monte_carlo;
 mod node;
 pub mod paths;
@@ -65,6 +66,7 @@ mod sta;
 pub use analysis::{SstaAnalysis, SstaUndo};
 pub use delays::ArcDelays;
 pub use graph::{InEdge, TimingGraph};
+pub use hash::{NodeHasher, NodeMap, NodeSet};
 pub use monte_carlo::{MonteCarlo, SamplingMode};
 pub use node::TimingNode;
 pub use propagate::{ConeWalk, DelayOverrides, EdgeConvMemo, StepReport};

@@ -17,11 +17,12 @@
 use crate::analysis::SstaAnalysis;
 use crate::delays::ArcDelays;
 use crate::graph::TimingGraph;
+use crate::hash::{NodeMap, NodeSet};
 use crate::node::TimingNode;
 use statsize_dist::{Dist, DistScratch};
 use statsize_netlist::GateId;
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 
 /// Override sets up to this size are probed by plain linear scan —
 /// cheaper than binary search for the typical trial-resize set of
@@ -118,7 +119,7 @@ impl DelayOverrides {
 pub struct EdgeConvMemo<'a> {
     base: &'a SstaAnalysis,
     delays: &'a ArcDelays,
-    convs: HashMap<(TimingNode, GateId), Dist>,
+    convs: NodeMap<(TimingNode, GateId), Dist>,
     reused: usize,
 }
 
@@ -128,7 +129,7 @@ impl<'a> EdgeConvMemo<'a> {
         Self {
             base,
             delays,
-            convs: HashMap::new(),
+            convs: NodeMap::default(),
             reused: 0,
         }
     }
@@ -270,15 +271,15 @@ pub struct ConeWalk<'a> {
     /// Perturbed arrivals of computed nodes. With `retain_all = false`,
     /// retired nodes' entries are dropped to keep memory proportional to
     /// the front width rather than the cone size.
-    perturbed: HashMap<TimingNode, Dist>,
+    perturbed: NodeMap<TimingNode, Dist>,
     /// All nodes ever computed (survives retirement).
-    computed: HashSet<TimingNode>,
+    computed: NodeSet<TimingNode>,
     /// Scheduled-or-computed marker preventing duplicate scheduling.
-    scheduled: HashSet<TimingNode>,
+    scheduled: NodeSet<TimingNode>,
     /// Pending nodes, keyed by level.
     pending: BTreeMap<u32, Vec<TimingNode>>,
     /// Remaining uncomputed fan-out arcs per computed node.
-    fo_remaining: HashMap<TimingNode, usize>,
+    fo_remaining: NodeMap<TimingNode, usize>,
     retain_all: bool,
     /// Buffer pool for the walk's lattice operations (used when no
     /// external pool is supplied; see
@@ -318,11 +319,11 @@ impl<'a> ConeWalk<'a> {
             delays,
             base,
             overrides,
-            perturbed: HashMap::new(),
-            computed: HashSet::new(),
-            scheduled: HashSet::new(),
+            perturbed: NodeMap::default(),
+            computed: NodeSet::default(),
+            scheduled: NodeSet::default(),
             pending: BTreeMap::new(),
-            fo_remaining: HashMap::new(),
+            fo_remaining: NodeMap::default(),
             retain_all: true,
             scratch: DistScratch::new(),
         };
@@ -541,7 +542,7 @@ impl<'a> ConeWalk<'a> {
     }
 
     /// Consumes the walk and returns all retained perturbed arrivals.
-    pub fn into_perturbed(self) -> HashMap<TimingNode, Dist> {
+    pub fn into_perturbed(self) -> NodeMap<TimingNode, Dist> {
         self.perturbed
     }
 
@@ -800,7 +801,7 @@ mod tests {
     /// walk folded.
     fn memoized_walks_match(c: &Ctx, memo: &mut EdgeConvMemo<'_>, cases: &mut MemoCases) {
         let mut scratch = DistScratch::new();
-        let mut side_edges: HashSet<(TimingNode, GateId)> = HashSet::new();
+        let mut side_edges: NodeSet<(TimingNode, GateId)> = NodeSet::default();
         for (i, g) in c.nl.gate_ids().enumerate() {
             let overrides = shift_override(c, g, 1 + i as i64 % 3);
             let mut plain = ConeWalk::new(&c.graph, &c.delays, &c.base, overrides.clone());
