@@ -12,7 +12,7 @@
 //! only shrink as fronts advance, the surviving argmax is exactly the
 //! brute-force argmax.
 //!
-//! Four things keep the sweep lean without changing a bit of its output:
+//! Five things keep the sweep lean without changing a bit of its output:
 //!
 //! * **Parked bounds.** Initialization records each candidate's `Smx` and
 //!   recycles its walk at once; most candidates are pruned on that bound
@@ -55,6 +55,34 @@
 //!   therefore advances, completes and prunes exactly the fronts that
 //!   measuring every node would (on the benchmark workloads every work
 //!   counter matches).
+//! * **A sink-aware bound where a front would advance** ([`SinkBound`],
+//!   percentile objectives `T(·, p)` with `p` in the body window below).
+//!   The sink is the independent max of the primary outputs, so its step
+//!   CDF is the product of theirs. Theorem 4 with one output `j` as the
+//!   sink bounds `j`'s shift by `k_j`, the largest whole-bin `Δ` among
+//!   the front nodes that reach `j` (0 if none does), so the perturbed
+//!   sink's CDF is at most `Π_j F_j(z + k_j)` up to a stated dust, and
+//!   its `p`-percentile is at least where that product crosses `p`. A
+//!   perturbation that reaches a few of many outputs barely moves the
+//!   product, while `Smx` charges it its whole `Δ`. The bound is read
+//!   only where the sweep would otherwise advance a front, after its
+//!   bounds were tightened for the pop; when only the front's inherited
+//!   bounds keep it at the cut, those are measured and the bound read
+//!   again. A front below the cut is pruned. The heap stays keyed by
+//!   `Smx`, and the sink-aware bound is never parked: it reads every
+//!   output's base arrival, and every commit changes some of them.
+//!   Soundness rests on the premise the front bounds already rest on:
+//!   each output's dominance `F′_j(z) ≤ F_j(z + k_j)` holds on the body
+//!   window, so per output it can fail by at most the `1e-8` of mass
+//!   outside it, plus the shift walk's `1e-10` level tie, plus the trim
+//!   dust of folding that output into the sink; the product moves by at
+//!   most the sum, so the crossing is read at `p` less
+//!   `SINK_TOL_PER_OUTPUT` times the number of sink in-edges. A unit
+//!   test checks the bound against the exact sensitivity at every level
+//!   of every candidate's walk to the sink, at p 0.5, 0.9 and 0.99 and
+//!   dt 1 and 0.25. On the 6-iteration gen1200 descent it cut the fronts
+//!   completed from 267 to 25 and the nodes computed from 176,205 to
+//!   98,195.
 //!
 //! Soundness note: past the front, propagation merges with *unperturbed*
 //! side inputs (shift 0), so the usable guarantee is
@@ -92,8 +120,9 @@
 //! worker's scratch pool and memo warm across the phase boundary. A
 //! claimed candidate whose parked bound survives the threshold is
 //! re-initialized once and advanced, its inherited bounds measured only
-//! as far as each prune check against the threshold needs. The live
-//! threshold is
+//! as far as each prune check against the threshold needs, and the
+//! sink-aware bound checked before each level it advances, against one
+//! read-only table the workers share. The live threshold is
 //! the paper's `Max_S` published through an atomic monotone max, so
 //! every worker prunes against the freshest exact sensitivity completed
 //! anywhere.
@@ -117,9 +146,11 @@ use crate::deadline::{Deadline, DeadlineExceeded};
 use crate::objective::Objective;
 use crate::parallel::{default_threads, normalize_threads, run_workers, SharedMax, WorkQueue};
 use crate::selection::Selection;
-use statsize_dist::{lattice_shift_bound, DistScratch};
+use statsize_dist::{lattice_shift_bound, Dist, DistScratch};
 use statsize_netlist::GateId;
-use statsize_ssta::{ConeWalk, EdgeConvMemo, NodeMap, SstaAnalysis, StepReport, TimingNode};
+use statsize_ssta::{
+    ConeWalk, EdgeConvMemo, NodeMap, SstaAnalysis, StepReport, TimingGraph, TimingNode,
+};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
@@ -173,6 +204,12 @@ pub struct PruneStats {
     /// bounds instead of a fresh initialization. Deterministic for every
     /// thread count: it depends only on the commit history.
     pub bounds_reused: usize,
+    /// Fronts pruned by the sink-aware bound (percentile objectives) at a
+    /// point where the front bound alone would have advanced them; they
+    /// also count in `pruned`. Deterministic for the serial sweep;
+    /// schedule-dependent under threads > 1, like the pruned/completed
+    /// split.
+    pub sink_pruned: usize,
 }
 
 impl PruneStats {
@@ -195,6 +232,7 @@ impl PruneStats {
         self.convolutions_reused += other.convolutions_reused;
         self.bounds_evaluated += other.bounds_evaluated;
         self.bounds_reused += other.bounds_reused;
+        self.sink_pruned += other.sink_pruned;
     }
 }
 
@@ -219,6 +257,246 @@ pub struct PrunedSelector {
 /// absorbs that noise; it is about six orders of magnitude below any
 /// sensitivity that matters, so pruning effectiveness is unaffected.
 const PRUNE_SLACK: f64 = 1e-6;
+
+/// Slack on the perturbed sink's step CDF, per sink in-edge, that the
+/// sink-aware bound ([`SinkBound`]) allows for, summed from three
+/// documented dusts:
+///
+/// * `1e-8`: the per-output dominance `F′_j(z) ≤ F_j(z + k_j)` rests on
+///   shift bounds that hold on the body window `[1e-8, 1 − 1e-8]` only
+///   (module docs); at a level outside it `F′_j(z)` can exceed the
+///   bound by at most the `1e-8` of out-of-window mass on that side;
+/// * `1e-10`: the shift walk merges levels closer than this (its
+///   level-tie tolerance), so a measured bound may leave `F′_j` that much
+///   above `F_j(z + k_j)`;
+/// * `1e-11`: each independent max folding an output into the sink
+///   trims at most `1e-12` of mass per side and renormalizes by
+///   `1 ± ~2e-12`, and a cumulative sum of a few thousand bins rounds by
+///   under `1e-12`.
+///
+/// Every factor lies in `[0, 1]`, so errors of `ε_j` per output move the
+/// product by at most `Σ ε_j`: the sweep's tolerance is this constant
+/// times the number of sink in-edges.
+const SINK_TOL_PER_OUTPUT: f64 = 1e-8 + 1e-10 + 1e-11;
+
+/// The probability levels on which the front bounds are guaranteed (see
+/// the module's soundness note); the sink-aware bound serves percentile
+/// objectives whose level lies inside.
+const BODY_WINDOW: (f64, f64) = (1e-8, 1.0 - 1e-8);
+
+/// A base arrival's step CDF: `cum[i] = P(A ≤ (offset + i)·dt)`,
+/// clamped to at most 1.
+struct StepCdf {
+    offset: i64,
+    cum: Vec<f64>,
+}
+
+impl StepCdf {
+    fn new(dist: &Dist) -> Self {
+        let mut total = 0.0;
+        let cum = dist
+            .mass()
+            .iter()
+            .map(|&m| {
+                total += m;
+                total.min(1.0)
+            })
+            .collect();
+        Self {
+            offset: dist.offset(),
+            cum,
+        }
+    }
+
+    /// The step CDF at absolute bin `z`.
+    fn at(&self, z: i64) -> f64 {
+        match usize::try_from(z - self.offset) {
+            Err(_) => 0.0,
+            Ok(i) => self.cum.get(i).copied().unwrap_or(1.0),
+        }
+    }
+
+    /// One past the last bin with mass: the step CDF is 1 from here on.
+    fn end(&self) -> i64 {
+        self.offset + self.cum.len() as i64
+    }
+}
+
+/// The sink-aware upper bound on a front's exact sensitivity, for a
+/// percentile objective `T(·, p)`: Theorem 4 applied per primary output.
+///
+/// The sink is the independent max of its in-edges, the primary outputs
+/// `j`, so its step CDF is the product `Π_j F_j` (up to trim dust). With
+/// `j` as the sink, Theorem 4 bounds output `j`'s shift by
+/// `k_j = max(0, largest Δ among the front nodes that reach j)`: the
+/// perturbed CDF satisfies `F′_j(z) ≤ F_j(z + k_j)`. So the perturbed
+/// sink's step CDF is at most `H(z) = Π_j F_j(z + k_j) + tol` at every
+/// bin (tolerance: [`SINK_TOL_PER_OUTPUT`] per in-edge). Its
+/// interpolated CDF, which [`Dist::percentile`] inverts, interpolates
+/// those step values linearly, so it stays below the same interpolation
+/// of `H`. Its `p`-percentile is therefore at least where that
+/// interpolation crosses `p`: inside the first bin `z` with `H(z) ≥ p`,
+/// at `(z − ½ + f)·dt` for the fraction `f ∈ [0, 1)` of the rise from
+/// `H(z − 1)` to `H(z)` that reaches `p`. The bound is `base_cost` less
+/// that point, over `Δw`. A perturbation that reaches a few of many
+/// outputs barely moves the product, so this is far tighter than the
+/// front bound `Smx` on fronts about to reach the sink.
+///
+/// Built once per sweep over one immutable circuit borrow; every front
+/// of the sweep reads it.
+struct SinkBound {
+    /// `p − tol`.
+    target: f64,
+    base_cost: f64,
+    dt: f64,
+    delta_w: f64,
+    /// `u64` words per node in `reach`.
+    words: usize,
+    /// Per timing node, the bitset of the sink in-edges it reaches.
+    reach: Vec<u64>,
+    /// Per sink in-edge, its output's base step CDF.
+    cdfs: Vec<StepCdf>,
+    /// The first bin where the unperturbed product reaches `target`.
+    z_base: i64,
+}
+
+impl SinkBound {
+    /// The tables for `objective` on `circuit`, or `None` unless the
+    /// objective is a percentile inside [`BODY_WINDOW`].
+    fn new(circuit: &TimedCircuit<'_>, objective: Objective, delta_w: f64) -> Option<Self> {
+        let Objective::Percentile(p) = objective else {
+            return None;
+        };
+        let graph = circuit.graph();
+        let tails: Vec<TimingNode> = graph
+            .in_edges(TimingNode::SINK)
+            .iter()
+            .map(|e| e.from)
+            .collect();
+        let target = p - SINK_TOL_PER_OUTPUT * tails.len() as f64;
+        if !(BODY_WINDOW.0..=BODY_WINDOW.1).contains(&p) || target <= 0.0 {
+            return None;
+        }
+        let (words, reach) = reach_table(graph, &tails);
+        let cdfs: Vec<StepCdf> = tails
+            .iter()
+            .map(|&t| StepCdf::new(circuit.ssta().arrival(t)))
+            .collect();
+        // Below the largest offset some factor is 0; from the largest end
+        // on every factor is 1.
+        let lo = cdfs.iter().map(|c| c.offset).max()? - 1;
+        let hi = cdfs.iter().map(StepCdf::end).max()?;
+        let mut table = Self {
+            target,
+            base_cost: circuit.objective_value(objective),
+            dt: circuit.dt(),
+            delta_w,
+            words,
+            reach,
+            cdfs,
+            z_base: 0,
+        };
+        table.z_base = table.first_reaching(lo, hi, &vec![0; table.cdfs.len()]);
+        Some(table)
+    }
+
+    /// `Π_j F_j(z + ks[j])`.
+    fn product(&self, z: i64, ks: &[i64]) -> f64 {
+        self.cdfs
+            .iter()
+            .zip(ks)
+            .fold(1.0, |acc, (cdf, &k)| acc * cdf.at(z + k))
+    }
+
+    /// Whether `Π_j F_j(z + ks[j]) ≥ target`.
+    fn reaches(&self, z: i64, ks: &[i64]) -> bool {
+        let mut product = 1.0;
+        for (cdf, &k) in self.cdfs.iter().zip(ks) {
+            product *= cdf.at(z + k);
+            // Every factor is at most 1: the product only falls.
+            if product < self.target {
+                return false;
+            }
+        }
+        true
+    }
+
+    /// The first bin in `(lo, hi]` where the shifted product reaches the
+    /// target, given that it does not at `lo` and does at `hi`.
+    fn first_reaching(&self, mut lo: i64, mut hi: i64, ks: &[i64]) -> i64 {
+        while hi - lo > 1 {
+            let mid = lo + (hi - lo) / 2;
+            if self.reaches(mid, ks) {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        hi
+    }
+
+    /// The sink-aware bound of a front (see the type docs). Without
+    /// `inherited`, the front's inherited bounds count as 0: a lower
+    /// bound on what measuring them could bring the bound down to.
+    fn bound(&self, front: &NodeMap<TimingNode, FrontBound>, inherited: bool) -> f64 {
+        let mut ks = vec![0_i64; self.cdfs.len()];
+        let mut k_max = 0;
+        for (&node, b) in front.iter().filter(|(_, b)| inherited || b.exact) {
+            let k = (b.delta / self.dt).round() as i64;
+            if k <= 0 {
+                continue;
+            }
+            k_max = k_max.max(k);
+            let row = &self.reach[node.index() * self.words..][..self.words];
+            for (w, &bits) in row.iter().enumerate() {
+                let mut bits = bits;
+                while bits != 0 {
+                    let j = w * 64 + bits.trailing_zeros() as usize;
+                    ks[j] = ks[j].max(k);
+                    bits &= bits - 1;
+                }
+            }
+        }
+        // Shifting every factor by at most `k_max` bins moves the first
+        // reaching bin down by at most that much: `Π F_j(z + k_j) ≤
+        // Π F_j(z + k_max)`, which misses the target below `z_base − k_max`.
+        let z = self.first_reaching(self.z_base - k_max - 1, self.z_base, &ks);
+        // Read the percentile off the interpolated bounding CDF, as
+        // `Dist::percentile` reads it off the sink's: it crosses the
+        // target inside bin `z`.
+        let (below, at) = (self.product(z - 1, &ks), self.product(z, &ks));
+        let frac = ((self.target - below) / (at - below)).clamp(0.0, 1.0);
+        (self.base_cost - (z as f64 - 0.5 + frac) * self.dt) / self.delta_w
+    }
+}
+
+/// Per timing node, the bitset (`words` `u64`s) of the sink in-edges it
+/// reaches; `tails[j]` is the tail of sink in-edge `j`. A node reaches
+/// the in-edges it feeds itself and every one its fan-outs reach, so an
+/// output net that also drives gates keeps its own bits, and a net
+/// feeding several in-edges sets a bit for each. Returns `(words, bits)`.
+fn reach_table(graph: &TimingGraph, tails: &[TimingNode]) -> (usize, Vec<u64>) {
+    let words = tails.len().div_ceil(64);
+    let mut reach = vec![0_u64; graph.node_count() * words];
+    for (j, t) in tails.iter().enumerate() {
+        reach[t.index() * words + j / 64] |= 1 << (j % 64);
+    }
+    // Levels strictly increase along edges: a node's fan-outs come first
+    // in reverse level order.
+    let mut order: Vec<TimingNode> = graph.nodes_in_level_order().collect();
+    order.reverse();
+    for node in order {
+        for &out in graph.out_nodes(node) {
+            if out == TimingNode::SINK {
+                continue;
+            }
+            for w in 0..words {
+                reach[node.index() * words + w] |= reach[out.index() * words + w];
+            }
+        }
+    }
+    (words, reach)
+}
 
 /// One front node's shift bound `Δi`, in ps.
 #[derive(Debug, Clone, Copy)]
@@ -301,6 +579,40 @@ impl<'a> Candidate<'a> {
             .values()
             .fold(f64::NEG_INFINITY, |a, b| a.max(b.delta));
         self.smx = delta_mx / delta_w;
+    }
+
+    /// The sink-aware check, made where the sweep would otherwise advance
+    /// the front: whether `sink`'s bound on it falls below `cut`. When
+    /// only the front's inherited bounds keep it at or above the cut —
+    /// the bound from its measured ones alone is below — every inherited
+    /// bound is measured (once: it stays measured) and the bound read
+    /// again, refreshing `Smx`. Otherwise measuring could not prune.
+    fn sink_prunes(
+        &mut self,
+        sink: &SinkBound,
+        cut: f64,
+        base: &SstaAnalysis,
+        delta_w: f64,
+        stats: &mut PruneStats,
+    ) -> bool {
+        if sink.bound(&self.front, true) < cut {
+            return true;
+        }
+        if sink.bound(&self.front, false) >= cut {
+            return false;
+        }
+        let loose: Vec<TimingNode> = self
+            .front
+            .iter()
+            .filter(|(_, b)| !b.exact)
+            .map(|(&node, _)| node)
+            .collect();
+        for node in loose {
+            let delta = self.measure(node, base, stats);
+            self.front.insert(node, FrontBound { delta, exact: true });
+        }
+        self.refresh(delta_w);
+        sink.bound(&self.front, true) < cut
     }
 
     /// Measures inherited bounds, largest first, until one exact bound
@@ -644,6 +956,7 @@ impl PrunedSelector {
         // side input convolved for one front serves every other.
         let mut scratch = DistScratch::new();
         let mut memo = EdgeConvMemo::new(base, circuit.delays());
+        let sink_bound = SinkBound::new(circuit, objective, self.delta_w);
 
         // --- Initialize every candidate (Figure 7), parking only its
         // bound: the walk is recycled at once and rebuilt if the bound
@@ -722,6 +1035,19 @@ impl PrunedSelector {
                 // Its tighter bound fell behind another entry's key: take
                 // it up again when that bound reaches the top.
                 heap.push(HeapEntry { smx: cand.smx, idx });
+                continue;
+            }
+            // The front bound says advance; the sink-aware bound, read
+            // only here, may still prune.
+            if sink_bound
+                .as_ref()
+                .is_some_and(|s| cand.sink_prunes(s, cut, base, self.delta_w, &mut stats))
+            {
+                stats.pruned += 1;
+                stats.sink_pruned += 1;
+                if let Some(c) = fronts[idx].take() {
+                    c.walk.recycle_into(&mut scratch);
+                }
                 continue;
             }
             self.advance(cand, circuit, &mut scratch, &mut memo, &mut stats);
@@ -803,6 +1129,8 @@ impl PrunedSelector {
         // Workers read the parked bounds shared and return the bounds
         // they initialize, parked after the pool joins.
         let reuse = parked.as_deref();
+        // One read-only sink-aware table for every worker.
+        let sink_bound = SinkBound::new(circuit, objective, self.delta_w);
 
         let workers: Vec<(PruneStats, Vec<(GateId, f64)>)> = run_workers(threads, || {
             let mut scratch = DistScratch::new();
@@ -915,6 +1243,14 @@ impl PrunedSelector {
                         break false;
                     }
                     let cand = front.as_mut().expect("rebuilt above");
+                    if sink_bound
+                        .as_ref()
+                        .is_some_and(|s| cand.sink_prunes(s, cut, base, self.delta_w, &mut local))
+                    {
+                        local.pruned += 1;
+                        local.sink_pruned += 1;
+                        break false;
+                    }
                     self.advance(cand, circuit, &mut scratch, &mut memo, &mut local);
 
                     if let Some(sink) = cand.walk.sink_arrival() {
@@ -972,7 +1308,7 @@ mod tests {
     use crate::brute::BruteForceSelector;
     use statsize_cells::{CellLibrary, VariationModel};
     use statsize_dist::Dist;
-    use statsize_netlist::{bench, generator, shapes, Netlist};
+    use statsize_netlist::{bench, generator, shapes, GateKind, Netlist, NetlistBuilder};
 
     fn check_matches_brute_force(nl: &Netlist, dt: f64, steps: usize) {
         let lib = CellLibrary::synthetic_180nm();
@@ -1042,6 +1378,24 @@ mod tests {
         // Pruned fronts must do far less work than full propagation for
         // every candidate would.
         assert!(stats.completed >= 1);
+    }
+
+    /// The serial sweep's count of fronts the sink-aware bound pruned is
+    /// deterministic: pinned on a bundle of disjoint paths, each its own
+    /// output, where every front reaches one output of six. The mean
+    /// objective gets no sink-aware bound.
+    #[test]
+    fn sink_aware_bound_prunes_fronts_the_front_bound_would_advance() {
+        let nl = shapes::path_bundle("b", &[5, 6, 7, 8, 5, 6]);
+        let lib = CellLibrary::synthetic_180nm();
+        let circuit = TimedCircuit::new(&nl, &lib, VariationModel::paper_default(), 1.0);
+        let obj = Objective::percentile(0.99);
+        let sel = PrunedSelector::new(1.0).with_threads(1);
+        let (_, stats) = sel.select_with_stats(&circuit, obj);
+        assert_eq!((stats.sink_pruned, stats.completed), (7, 5));
+        assert_eq!(sel.select_with_stats(&circuit, obj).1, stats, "repeatable");
+        let (_, mean) = sel.select_with_stats(&circuit, Objective::Mean);
+        assert_eq!(mean.sink_pruned, 0);
     }
 
     #[test]
@@ -1367,6 +1721,192 @@ mod tests {
         let nl = generator::generate_iscas("c432", 17).unwrap();
         for dt in [1.0, 0.25] {
             assert!(check_inherited_bounds(&nl, dt) > 0, "dt {dt}");
+        }
+    }
+
+    /// A netlist whose output `x` also drives the gates behind output
+    /// `y`, next to a third output `z`.
+    fn fanning_output() -> Netlist {
+        let mut b = NetlistBuilder::new("fanning_po");
+        for name in ["a", "b", "c"] {
+            b.input(name).unwrap();
+        }
+        b.gate(GateKind::Nand, "x", &["a", "b"]).unwrap();
+        b.gate(GateKind::Nand, "m", &["x", "c"]).unwrap();
+        b.gate(GateKind::Not, "y", &["m"]).unwrap();
+        b.gate(GateKind::Nor, "z", &["b", "c"]).unwrap();
+        for name in ["x", "y", "z"] {
+            b.output(name).unwrap();
+        }
+        b.build().unwrap()
+    }
+
+    /// The sink in-edges `node` reaches, per [`reach_table`]'s bitsets.
+    fn reached(words: usize, reach: &[u64], node: TimingNode) -> Vec<usize> {
+        (0..words * 64)
+            .filter(|j| reach[node.index() * words + j / 64] >> (j % 64) & 1 == 1)
+            .collect()
+    }
+
+    /// An output net that also drives gates reaches its own sink in-edge
+    /// and every one downstream; a net feeding several in-edges (a
+    /// repeated output, here over two bitset words) sets each of them.
+    #[test]
+    fn reach_table_keeps_fanning_and_repeated_outputs() {
+        let nl = fanning_output();
+        let graph = TimingGraph::build(&nl);
+        let node = |name| graph.node_of_net(nl.find_net(name).unwrap());
+        let (a, b, x, y, z) = (node("a"), node("b"), node("x"), node("y"), node("z"));
+
+        let (words, reach) = reach_table(&graph, &[x, y, z]);
+        assert_eq!(words, 1);
+        assert_eq!(reached(words, &reach, x), [0, 1], "x keeps its own bit");
+        assert_eq!(reached(words, &reach, y), [1]);
+        assert_eq!(reached(words, &reach, a), [0, 1]);
+        assert_eq!(reached(words, &reach, b), [0, 1, 2]);
+        assert!(reached(words, &reach, TimingNode::SINK).is_empty());
+
+        let tails: Vec<TimingNode> = (0..70).map(|j| if j % 2 == 0 { x } else { z }).collect();
+        let (words, reach) = reach_table(&graph, &tails);
+        assert_eq!(words, 2);
+        let even: Vec<usize> = (0..70).step_by(2).collect();
+        let all: Vec<usize> = (0..70).collect();
+        assert_eq!(reached(words, &reach, x), even);
+        assert_eq!(reached(words, &reach, a), even);
+        assert_eq!(reached(words, &reach, b), all);
+    }
+
+    /// The tolerance covers the sink's own fold: the sink's step CDF
+    /// stays within the trim share of [`SINK_TOL_PER_OUTPUT`] (`1e-11`
+    /// per in-edge) of the product of its outputs' CDFs at every bin, so
+    /// an untouched front bounds to a sensitivity just above 0. Objectives
+    /// outside the body window get no table.
+    #[test]
+    fn sink_tolerance_covers_the_sink_fold() {
+        let lib = CellLibrary::synthetic_180nm();
+        for dt in [1.0, 0.25] {
+            for nl in [
+                bench::c17(),
+                shapes::grid("g", 3, 4),
+                shapes::diamond("d", 3),
+                fanning_output(),
+                generator::generate_iscas("c432", 17).unwrap(),
+            ] {
+                let circuit = TimedCircuit::new(&nl, &lib, VariationModel::paper_default(), dt);
+                let at = format!("{} at dt {dt}", nl.name());
+                let outputs: Vec<StepCdf> = circuit
+                    .graph()
+                    .in_edges(TimingNode::SINK)
+                    .iter()
+                    .map(|e| StepCdf::new(circuit.ssta().arrival(e.from)))
+                    .collect();
+                let sink = StepCdf::new(circuit.ssta().sink_arrival());
+                for z in sink.offset - 2..sink.end() + 2 {
+                    let product: f64 = outputs.iter().map(|c| c.at(z)).product();
+                    assert!(
+                        (product - sink.at(z)).abs() <= 1e-11 * outputs.len() as f64,
+                        "{at}, bin {z}: product {product} vs sink {}",
+                        sink.at(z)
+                    );
+                }
+                for p in [0.5, 0.9, 0.99] {
+                    let table = SinkBound::new(&circuit, Objective::percentile(p), 1.0)
+                        .expect("inside the body window");
+                    let untouched = table.bound(&NodeMap::default(), true);
+                    assert!(
+                        (0.0..1e-2).contains(&untouched),
+                        "{at}, p {p}: untouched front bounds to {untouched}"
+                    );
+                }
+                for objective in [Objective::Mean, Objective::Percentile(1e-9)] {
+                    assert!(SinkBound::new(&circuit, objective, 1.0).is_none());
+                }
+            }
+        }
+    }
+
+    /// Walks every candidate's front from initialization to the sink and
+    /// checks, before each step, that the sink-aware bound — read off the
+    /// front as absorbed, and with every front bound measured — is at
+    /// least the exact sensitivity the walk ends with, less
+    /// `PRUNE_SLACK`. Returns how many bounds it checked.
+    fn check_sink_bounds(nl: &Netlist, dt: f64, p: f64) -> usize {
+        let lib = CellLibrary::synthetic_180nm();
+        let circuit = TimedCircuit::new(nl, &lib, VariationModel::paper_default(), dt);
+        let base = circuit.ssta();
+        let objective = Objective::percentile(p);
+        let base_cost = circuit.objective_value(objective);
+        let table = SinkBound::new(&circuit, objective, 1.0).expect("inside the body window");
+        let sel = PrunedSelector::new(1.0);
+        let mut scratch = DistScratch::new();
+        let mut memo = EdgeConvMemo::new(base, circuit.delays());
+        let mut stats = PruneStats::default();
+        let mut checked = 0;
+        for gate in nl.gate_ids() {
+            let mut cand =
+                sel.initialize_candidate(&circuit, gate, &mut scratch, &mut memo, &mut stats);
+            let mut bounds = Vec::new();
+            while !cand.walk.is_done() {
+                let measured: NodeMap<TimingNode, FrontBound> = cand
+                    .front
+                    .keys()
+                    .map(|&node| {
+                        let perturbed =
+                            cand.walk.perturbed(node).expect("front nodes are retained");
+                        let delta = lattice_shift_bound(base.arrival(node), perturbed);
+                        (node, FrontBound { delta, exact: true })
+                    })
+                    .collect();
+                bounds.push(table.bound(&cand.front, true));
+                bounds.push(table.bound(&measured, true));
+                sel.advance(&mut cand, &circuit, &mut scratch, &mut memo, &mut stats);
+            }
+            let sink = cand.walk.sink_arrival().expect("walked to the sink");
+            let exact = base_cost - objective.value(sink);
+            for (i, &bound) in bounds.iter().enumerate() {
+                assert!(
+                    bound >= exact - PRUNE_SLACK,
+                    "{} at dt {dt}, p {p}, gate {gate}, check {i}: bound {bound} < exact {exact}",
+                    nl.name()
+                );
+            }
+            checked += bounds.len();
+            cand.walk.recycle_into(&mut scratch);
+        }
+        memo.recycle_into(&mut scratch);
+        checked
+    }
+
+    /// Theorem 4 per primary output: the sink-aware bound never falls
+    /// below a front's exact sensitivity, at any level of its walk.
+    #[test]
+    fn sink_bounds_hold_at_every_level() {
+        for dt in [1.0, 0.25] {
+            for nl in [
+                bench::c17(),
+                shapes::grid("g", 3, 4),
+                shapes::diamond("d", 3),
+                fanning_output(),
+            ] {
+                for p in [0.5, 0.9, 0.99] {
+                    let checked = check_sink_bounds(&nl, dt, p);
+                    assert!(checked > 0, "{} at dt {dt}, p {p}", nl.name());
+                }
+            }
+        }
+    }
+
+    /// The same on the c432 and gen600 profiles: run with
+    /// `cargo test --release -q -p statsize --lib -- --ignored`.
+    #[test]
+    #[ignore = "slow: run in release with --ignored"]
+    fn sink_bounds_hold_on_benchmark_profiles() {
+        let c432 = generator::generate_iscas("c432", 17).unwrap();
+        let gen600 = generator::generate_scaled(&generator::ScaledProfile::with_nodes(600), 1);
+        for (nl, dt) in [(&c432, 1.0), (&c432, 0.25), (&gen600, 1.0)] {
+            for p in [0.5, 0.9, 0.99] {
+                assert!(check_sink_bounds(nl, dt, p) > 0, "{} at dt {dt}", nl.name());
+            }
         }
     }
 

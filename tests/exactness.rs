@@ -133,6 +133,32 @@ fn identical_on_benchmark_profiles_at_fine_dt() {
     }
 }
 
+/// Pruned ≡ brute where the sink-aware bound prunes most: the benchmark
+/// descent (gen1200 at dt 1, six steps), the c499 and c1355 netlists,
+/// whose fronts reach a few of their 32 outputs, and top-3 selections on
+/// gen600. Run with `cargo test --release -q --test exactness -- --ignored`.
+#[test]
+#[ignore = "slow: run in release with --ignored"]
+fn identical_where_the_sink_aware_bound_prunes() {
+    let objective = Objective::percentile(0.99);
+    for (name, steps) in [("gen1200", 6), ("c499", 4), ("c1355", 4)] {
+        let nl = statsize_bench::suite::build_circuit(name, 1);
+        assert_identical_trajectories(&nl, 1.0, steps, objective);
+    }
+    let nl = statsize_bench::suite::build_circuit("gen600", 1);
+    let lib = CellLibrary::synthetic_180nm();
+    let mut circuit = TimedCircuit::new(&nl, &lib, VariationModel::paper_default(), 1.0);
+    for step in 0..3 {
+        let b = BruteForceSelector::new(1.0).select_top_k(&circuit, objective, 3);
+        let p = PrunedSelector::new(1.0).select_top_k(&circuit, objective, 3);
+        assert_eq!(b, p, "gen600: top-3 mismatch at step {step}");
+        let Some(best) = b.first() else {
+            break;
+        };
+        circuit.commit_resize(best.gate, 1.0);
+    }
+}
+
 /// `Optimizer::run` reuses parked Figure-7 bounds across its sweeps;
 /// `PrunedSelector::select_with_stats` initializes every candidate. The
 /// reusing run, a cold loop of the public selector, and brute force must
