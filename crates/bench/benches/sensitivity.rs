@@ -41,9 +41,10 @@ fn bench_selection(c: &mut Criterion) {
     }
 }
 
-/// The work-stealing parallel pruned sweep across thread counts — the
-/// `t1` row is the serial best-bound-first reference, so the group reads
-/// directly as a scaling curve (selections are bit-identical throughout).
+/// The pruned sweep across thread counts — one best-bound-first loop on
+/// `t` workers sharing its heap, so the group reads directly as a scaling
+/// curve from the one-worker `t1` row (selections are bit-identical
+/// throughout).
 fn bench_parallel_selection(c: &mut Criterion) {
     let lib = CellLibrary::synthetic_180nm();
     let variation = VariationModel::paper_default();

@@ -414,11 +414,11 @@ fn main() {
         );
     }
 
-    // One whole pruned selection sweep per thread count: `t1` is the
-    // serial best-bound-first reference, `t2`/`t4`/`t8` the work-stealing
-    // parallel sweep (bit-identical selections; only the wall clock and
-    // the prune/complete split change), each the median of independent
-    // runs. The `--compare` column against a committed baseline is how
+    // One whole pruned selection sweep per thread count: the same
+    // best-bound-first loop on one worker (`t1`) or on `t2`/`t4`/`t8`
+    // workers sharing its heap (bit-identical selections; only the wall
+    // clock and the prune/complete split change), each the median of
+    // independent runs. The `--compare` column against a committed baseline is how
     // the speedup is tracked across PRs.
     for circuit in ["c432", "c880"] {
         let nl = suite::build_circuit(circuit, 1);

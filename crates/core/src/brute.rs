@@ -8,7 +8,6 @@ use crate::selection::Selection;
 use statsize_dist::DistScratch;
 use statsize_netlist::GateId;
 use statsize_ssta::ConeWalk;
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// The straightforward statistical selector: for every gate, propagate its
 /// trial-resize perturbation all the way to the sink and measure the exact
@@ -140,21 +139,20 @@ impl BruteForceSelector {
     ) -> Result<Vec<Selection>, DeadlineExceeded> {
         let gates: Vec<GateId> = circuit.netlist().gate_ids().collect();
         let threads = normalize_threads(self.threads, gates.len());
-        if threads > 1 {
-            return self.all_sensitivities_parallel(circuit, objective, &gates, threads);
-        }
         let base_cost = circuit.objective_value(objective);
-        // One buffer pool for the whole sweep: each candidate's walk
-        // recycles through it, so the per-candidate allocation cost is
-        // O(front width), not O(cone size).
-        let mut scratch = DistScratch::new();
-        let mut all = Vec::with_capacity(gates.len());
-        for gate in gates {
-            // Cooperative deadline, once per candidate cone walk.
+        // Workers claim gates from a shared cursor (load balances across
+        // the wildly varying cone sizes), each with one buffer pool for
+        // all its walks, and the results land in gate-id order: every
+        // walk reads only the immutable circuit state. One worker runs on
+        // the calling thread and walks the gates in order.
+        run_indexed(threads, gates.len(), DistScratch::new, |scratch, idx| {
+            // Cooperative deadline, once per candidate cone walk. Once
+            // expired it stays expired, so every later claim errs at once.
             self.deadline.check()?;
-            all.push(self.one_sensitivity(circuit, objective, base_cost, gate, &mut scratch));
-        }
-        Ok(all)
+            Ok(self.one_sensitivity(circuit, objective, base_cost, gates[idx], scratch))
+        })
+        .into_iter()
+        .collect()
     }
 
     /// One gate's exact sensitivity: full perturbation propagation to the
@@ -179,40 +177,6 @@ impl BruteForceSelector {
         let sensitivity = (base_cost - objective.value(sink)) / self.delta_w;
         walk.recycle_into(scratch);
         Selection { gate, sensitivity }
-    }
-
-    /// Work-stealing sweep over the candidate gates: workers claim gate
-    /// indices from a shared cursor (load balances across the wildly
-    /// varying cone sizes) and scatter results back into gate-id order —
-    /// bit-identical to the serial sweep, since every walk depends only
-    /// on the immutable circuit state.
-    fn all_sensitivities_parallel(
-        &self,
-        circuit: &TimedCircuit<'_>,
-        objective: Objective,
-        gates: &[GateId],
-        threads: usize,
-    ) -> Result<Vec<Selection>, DeadlineExceeded> {
-        let base_cost = circuit.objective_value(objective);
-        // Cooperative-deadline latch shared by the workers. Post-expiry
-        // claims return a placeholder so the claim/scatter invariant
-        // (every slot filled) holds; the whole result is then discarded
-        // in favour of the error.
-        let expired = AtomicBool::new(false);
-        let all = run_indexed(threads, gates.len(), DistScratch::new, |scratch, idx| {
-            if expired.load(Ordering::Relaxed) || self.deadline.expired() {
-                expired.store(true, Ordering::Relaxed);
-                return Selection {
-                    gate: gates[idx],
-                    sensitivity: f64::NEG_INFINITY,
-                };
-            }
-            self.one_sensitivity(circuit, objective, base_cost, gates[idx], scratch)
-        });
-        if expired.load(Ordering::Relaxed) {
-            return Err(DeadlineExceeded);
-        }
-        Ok(all)
     }
 
     /// The `k` most sensitive gates with positive sensitivity, sorted by

@@ -13,26 +13,12 @@
 use crate::circuit::TimedCircuit;
 use crate::deadline::{Deadline, DeadlineExceeded};
 use crate::objective::Objective;
-use crate::parallel::{default_threads, normalize_threads, run_workers, WorkQueue};
+use crate::parallel::{default_threads, normalize_threads, run_indexed};
 use crate::selection::Selection;
 use statsize_dist::{lattice_shift_bound, DistScratch};
 use statsize_netlist::GateId;
 use statsize_ssta::{ConeWalk, EdgeConvMemo, TimingNode};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, Ordering};
-
-/// Folds a candidate into the running best using the deterministic
-/// (sensitivity, lowest gate id) total order. Every reduction in this
-/// module — worker-local, cross-worker, and serial — must go through
-/// this one helper: the parallel-equals-serial contract depends on all
-/// of them comparing identically.
-fn fold_best(best: Option<Selection>, cand: Selection) -> Option<Selection> {
-    if best.is_none_or(|b| cand.better_than(&b)) {
-        Some(cand)
-    } else {
-        best
-    }
-}
 
 /// Approximate selector: rank candidates by the perturbation-front bound
 /// after a fixed number of propagation levels.
@@ -40,9 +26,9 @@ fn fold_best(best: Option<Selection>, cand: Selection) -> Option<Selection> {
 /// Candidate scores are independent of each other (there is no shared
 /// pruning threshold), so the sweep parallelizes embarrassingly: with
 /// [`with_threads`](Self::with_threads) `> 1`, workers steal candidates
-/// from a shared cursor, keep a local best, and the final reduction uses
-/// the same deterministic (sensitivity, lowest gate id) order as the
-/// serial scan — the result is bit-identical for every thread count.
+/// from a shared cursor, and the scores are reduced in gate order by the
+/// deterministic (sensitivity, lowest gate id) order — the result is
+/// bit-identical for every thread count.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HeuristicSelector {
     delta_w: f64,
@@ -195,59 +181,36 @@ impl HeuristicSelector {
         let base_cost = circuit.objective_value(objective);
         let gates: Vec<GateId> = circuit.netlist().gate_ids().collect();
         let threads = normalize_threads(self.threads, gates.len());
-
-        let best: Option<Selection> = if threads > 1 {
-            let queue = WorkQueue::new(gates.len());
-            // Cooperative-deadline latch: the first worker to observe the
-            // expiry raises it, the others see it at their next claim.
-            let expired = AtomicBool::new(false);
-            let local_bests: Vec<Option<Selection>> = run_workers(threads, || {
-                // Each worker keeps its own buffer pool and side-edge
-                // convolution memo.
-                let mut scratch = DistScratch::new();
-                let mut memo = EdgeConvMemo::new(circuit.ssta(), circuit.delays());
-                let mut best: Option<Selection> = None;
-                while let Some(idx) = queue.claim() {
-                    if expired.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    if self.deadline.expired() {
-                        expired.store(true, Ordering::Relaxed);
-                        break;
-                    }
-                    let cand = self.score(
-                        circuit,
-                        objective,
-                        base_cost,
-                        gates[idx],
-                        &mut scratch,
-                        &mut memo,
-                    );
-                    best = fold_best(best, cand);
-                }
-                best
-            });
-            if expired.load(Ordering::Relaxed) {
-                return Err(DeadlineExceeded);
-            }
-            // Deterministic reduction: `better_than` is a total order on
-            // (sensitivity, gate id), so the overall best is independent
-            // of which worker scored which candidate.
-            local_bests.into_iter().flatten().fold(None, fold_best)
-        } else {
-            // One buffer pool and one side-edge convolution memo reused
-            // across all candidate lookaheads: every walk shares the base.
-            let mut scratch = DistScratch::new();
-            let mut memo = EdgeConvMemo::new(circuit.ssta(), circuit.delays());
-            let mut best: Option<Selection> = None;
-            for gate in gates {
-                // Cooperative deadline, once per candidate walk.
+        // Workers claim candidates from a shared cursor, each with its own
+        // buffer pool and side-edge convolution memo; one worker runs on
+        // the calling thread and scores the gates in order.
+        let scores = run_indexed(
+            threads,
+            gates.len(),
+            || {
+                (
+                    DistScratch::new(),
+                    EdgeConvMemo::new(circuit.ssta(), circuit.delays()),
+                )
+            },
+            |(scratch, memo), idx| {
+                // Cooperative deadline, once per candidate walk. Once
+                // expired it stays expired, so every later claim errs at
+                // once.
                 self.deadline.check()?;
-                let cand = self.score(circuit, objective, base_cost, gate, &mut scratch, &mut memo);
-                best = fold_best(best, cand);
+                Ok(self.score(circuit, objective, base_cost, gates[idx], scratch, memo))
+            },
+        );
+        // Deterministic reduction in gate order: `better_than` is a total
+        // order on (sensitivity, gate id), so the best is independent of
+        // which worker scored which candidate.
+        let mut best: Option<Selection> = None;
+        for score in scores {
+            let cand = score?;
+            if best.is_none_or(|b| cand.better_than(&b)) {
+                best = Some(cand);
             }
-            best
-        };
+        }
         Ok(best.filter(|b| b.sensitivity > 0.0))
     }
 }

@@ -29,13 +29,14 @@
 //!
 //! Every statistical selector (and the optimizer) takes a `with_threads`
 //! knob: candidate fronts are independent except for the shared pruning
-//! threshold `Max_S`, so the sweeps scale across cores with a
-//! work-stealing scan while returning **bit-identical** selections for
-//! every thread count. The [`THREADS_ENV`] environment variable overrides
+//! threshold `Max_S`, so the sweeps scale across cores while returning
+//! **bit-identical** selections for every thread count: brute force and
+//! the heuristic steal candidates from a shared cursor, and the pruned
+//! selector runs one best-bound-first loop whose workers share its heap. The [`THREADS_ENV`] environment variable overrides
 //! the (serial) default globally — CI uses it to push the whole test
 //! suite through the parallel path.
 //!
-//! [`Campaign`] lifts the same work-stealing pattern to circuit
+//! [`Campaign`] lifts the work-stealing pattern to circuit
 //! granularity: a corpus of independent circuits is sharded across
 //! workers under a total thread budget, producing per-circuit outcomes
 //! that are bit-identical to serial execution for every shard count.

@@ -1,19 +1,19 @@
-//! Shared infrastructure for the work-stealing parallel candidate sweeps.
+//! Shared infrastructure for the selectors' multi-threaded candidate
+//! sweeps.
 //!
 //! The selectors' per-candidate work (one perturbation front each) is
-//! independent except for the pruning threshold `Max_S`, so the sweep
-//! parallelizes with three tiny lock-free pieces instead of a scheduler
+//! independent except for the pruning threshold `Max_S`, so the sweeps
+//! parallelize with a few small pieces instead of a scheduler
 //! dependency:
 //!
-//! * [`WorkQueue`] — a shared atomic cursor over an indexed work list.
+//! * [`run_workers`] — spawns a sweep's workers, worker 0 on the calling
+//!   thread, and collects their results in worker-index order. The
+//!   pruned selector's workers share one locked heap on top of it.
+//! * [`WorkQueue`] / [`run_indexed`] — a shared atomic cursor over an
+//!   indexed work list, and the claim/scatter loop on top of it.
 //!   Workers *steal* the next unclaimed index whenever they finish their
 //!   current item, so load balances automatically even when candidate
-//!   costs vary by orders of magnitude (a pruned front costs a handful of
-//!   levels, a surviving front costs its whole cone).
-//! * [`SharedMax`] — the paper's `Max_S` published through an `AtomicU64`
-//!   holding `f64` bits, raised by monotone compare-and-swap. Workers
-//!   prune against the freshest exact sensitivity any worker has
-//!   completed, without taking a lock on the hot path.
+//!   costs vary by orders of magnitude.
 //! * [`normalize_threads`] / [`default_threads`] — the thread-count knob
 //!   semantics shared by every selector (mirroring
 //!   [`MonteCarlo::with_threads`](statsize_ssta::MonteCarlo::with_threads)).
@@ -23,25 +23,23 @@
 //!   whole to each selector sweep that starts and returned by a drop
 //!   guard when it ends.
 //!
-//! Everything here is *schedule-independent by construction*: the value
-//! read from [`SharedMax`] only ever lags the true threshold (pruning
-//! less, never wrongly), and the reduction of per-worker results is
-//! performed with the same deterministic ordering the serial sweeps use —
-//! so results are bit-identical for every thread count.
+//! Every selector reduces its workers' results in the same deterministic
+//! order for every thread count, so results are bit-identical for every
+//! thread count.
 
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Environment variable overriding every selector's default thread count
 /// (explicit [`with_threads`](crate::PrunedSelector::with_threads) calls
-/// still win). CI sets it to force the parallel sweep through the whole
-/// test suite.
+/// still win). CI sets it to run every selector on several workers
+/// through the whole test suite.
 pub const THREADS_ENV: &str = "STATSIZE_SELECTOR_THREADS";
 
 /// The default selector thread count: [`THREADS_ENV`] when set to a
-/// positive integer, otherwise 1 (serial — parallelism is opt-in so the
-/// serial reference path stays the default).
+/// positive integer, otherwise 1 (one worker, on the calling thread —
+/// parallelism is opt-in).
 ///
 /// Read afresh on every selector construction (not snapshotted at first
 /// use), so setting the variable mid-process affects selectors built
@@ -301,43 +299,6 @@ impl Drop for Grant<'_> {
     }
 }
 
-/// A monotonically increasing non-negative `f64` shared across workers:
-/// the live pruning threshold (`Max_S` for `k = 1`, the k-th best
-/// completed sensitivity in general).
-///
-/// Reads are single atomic loads (no lock on the per-level hot path);
-/// raises are monotone CAS-max loops. Relaxed ordering is sufficient for
-/// correctness: a stale read only *under*-estimates the threshold, which
-/// makes pruning more conservative, never wrong — and the completed-set
-/// accounting that the final result is reduced from lives behind a mutex,
-/// not here.
-pub(crate) struct SharedMax(AtomicU64);
-
-impl SharedMax {
-    /// Starts at `floor` (the selectors use 0.0: candidates are never
-    /// pruned against a negative threshold).
-    pub(crate) fn new(floor: f64) -> Self {
-        debug_assert!(floor >= 0.0 && floor.is_finite());
-        Self(AtomicU64::new(floor.to_bits()))
-    }
-
-    /// The current threshold.
-    pub(crate) fn get(&self) -> f64 {
-        f64::from_bits(self.0.load(Ordering::Relaxed))
-    }
-
-    /// Raises the threshold to `value` if it is higher than the current
-    /// one (no-op otherwise).
-    pub(crate) fn raise(&self, value: f64) {
-        debug_assert!(value >= 0.0 && value.is_finite());
-        let _ = self
-            .0
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |current| {
-                (value > f64::from_bits(current)).then(|| value.to_bits())
-            });
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -374,18 +335,6 @@ mod tests {
         assert_eq!(q.claim(), Some(2));
         assert_eq!(q.claim(), None);
         assert_eq!(q.claim(), None);
-    }
-
-    #[test]
-    fn shared_max_is_monotone() {
-        let m = SharedMax::new(0.0);
-        assert_eq!(m.get(), 0.0);
-        m.raise(1.5);
-        assert_eq!(m.get(), 1.5);
-        m.raise(0.5); // lower: ignored
-        assert_eq!(m.get(), 1.5);
-        m.raise(2.25);
-        assert_eq!(m.get(), 2.25);
     }
 
     #[test]
@@ -441,22 +390,6 @@ mod tests {
         let caught =
             std::panic::catch_unwind(|| std::panic::panic_any(42u8)).expect_err("must panic");
         assert_eq!(panic_message(caught.as_ref()), "non-string panic payload");
-    }
-
-    #[test]
-    fn shared_max_concurrent_raises_settle_on_the_maximum() {
-        let m = SharedMax::new(0.0);
-        std::thread::scope(|scope| {
-            for t in 0..8 {
-                let m = &m;
-                scope.spawn(move || {
-                    for i in 0..1000 {
-                        m.raise((t * 1000 + i) as f64 / 8000.0);
-                    }
-                });
-            }
-        });
-        assert_eq!(m.get(), 7999.0 / 8000.0);
     }
 
     #[test]

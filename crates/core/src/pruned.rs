@@ -107,44 +107,47 @@
 //! window weigh 2e-8 in total, so an excess of a few bins there moves a
 //! mean improvement by under 1e-7 ps at dt = 1, far below `PRUNE_SLACK`.
 //!
-//! # Parallel sweep
+//! # One sweep for every thread count
 //!
-//! With [`with_threads`](PrunedSelector::with_threads) `> 1` the sweep
-//! runs as a two-phase work-stealing scan (infrastructure in the crate's
-//! `parallel` module) inside a *single* spawn of the worker pool:
-//! workers steal candidates from a shared atomic cursor and park every
-//! candidate's initial bound, rendezvous at a barrier (whose leader
-//! publishes the descending-initial-bound claim order — the parallel
-//! analogue of the serial heap's best-bound-first discipline), then roll
-//! straight into the propagation phase on the same threads, keeping each
-//! worker's scratch pool and memo warm across the phase boundary. A
-//! claimed candidate whose parked bound survives the threshold is
-//! re-initialized once and advanced, its inherited bounds measured only
-//! as far as each prune check against the threshold needs, and the
-//! sink-aware bound checked before each level it advances, against one
-//! read-only table the workers share. The live threshold is
-//! the paper's `Max_S` published through an atomic monotone max, so
-//! every worker prunes against the freshest exact sensitivity completed
-//! anywhere.
+//! The sweep is one worker loop, run on
+//! [`with_threads`](PrunedSelector::with_threads) workers (worker 0 on the
+//! calling thread). They share one mutex-guarded heap, holding one entry
+//! per unfinished candidate, and the best-first list of completed
+//! selections that sets the threshold. A candidate enters the heap with
+//! a still-valid parked bound or as *uninitialized*, which outranks every
+//! bound (ties to the lower gate index). A worker pops the top entry,
+//! notes the threshold and the next key, and does one unit of work
+//! outside the lock. It initializes an uninitialized entry (Figure 7)
+//! and pushes it back keyed by the fresh bound. A front it prunes, pushes
+//! back when its tightened bound falls behind the next key, or advances
+//! one level and pushes back unless it completed; a rebuilt walk waits
+//! in a slot keyed by gate index, for any worker. With one worker this is
+//! Figure 6 as written: every candidate initializes in gate order, then
+//! fronts advance strictly best-bound-first. With more, they initialize
+//! in parallel and then advance the best few fronts side by side, each
+//! worker with its own buffer pool and side-edge memo. A worker exits
+//! when it pops from an empty heap: every unfinished front then sits with
+//! a live worker, which pushes it back and pops again, so no worker ever
+//! waits on another. The deadline is polled once per pop.
 //!
-//! The *returned selections are bit-identical to the serial sweep for
-//! every thread count*, by construction rather than by luck: a candidate
-//! is only ever pruned when its bound — hence its exact sensitivity — is
-//! strictly below the threshold at some moment, and the threshold never
-//! exceeds the final k-th best sensitivity. Every true top-k member
-//! therefore completes under *any* schedule, with a sensitivity computed
-//! by the same deterministic lattice operations, and the final reduction
-//! sorts by (sensitivity, lowest gate id) — a total order. Only the
-//! [`PruneStats`] *counters* are schedule-dependent: which candidates get
-//! pruned versus completed depends on when each worker observes `Max_S`
-//! (the invariant `pruned + completed == candidates` always holds), and
-//! which worker's memo first meets a side input decides how many
-//! convolutions are reused.
+//! The *returned selections are bit-identical for every thread count*,
+//! by construction rather than by luck: a candidate is only ever pruned
+//! when its bound — hence its exact sensitivity — is strictly below the
+//! threshold at some moment, and the threshold never exceeds the final
+//! k-th best sensitivity. Every true top-k member therefore completes
+//! under *any* schedule, with a sensitivity computed by the same
+//! deterministic lattice operations, and the completed list is sorted by
+//! (sensitivity, lowest gate id) — a total order. Only the
+//! [`PruneStats`] *counters* depend on the schedule of more than one
+//! worker: which fronts advance side by side decides when the threshold
+//! rises (the invariant `pruned + completed == candidates` always
+//! holds), and which worker's memo first meets a side input decides how
+//! many convolutions are reused.
 
 use crate::circuit::{ParkedBounds, TimedCircuit};
 use crate::deadline::{Deadline, DeadlineExceeded};
 use crate::objective::Objective;
-use crate::parallel::{default_threads, normalize_threads, run_workers, SharedMax, WorkQueue};
+use crate::parallel::{default_threads, normalize_threads, run_workers};
 use crate::selection::Selection;
 use statsize_dist::{lattice_shift_bound, Dist, DistScratch};
 use statsize_netlist::GateId;
@@ -153,20 +156,19 @@ use statsize_ssta::{
 };
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicBool, Ordering as AtomicOrdering};
-use std::sync::{Barrier, Mutex, OnceLock};
+use std::sync::Mutex;
 
 /// Work statistics of one pruned selection, quantifying how effective the
 /// perturbation bounds were (the paper reports "as many as 55 out of 56
 /// candidate nodes are pruned").
 ///
 /// Invariant: `pruned + completed == candidates` — every candidate front
-/// ends exactly one way. Under the parallel sweep the *split* between the
-/// two counters may differ from the serial sweep's (each worker observes
-/// the shared `Max_S` threshold at different moments, so a candidate the
-/// serial sweep pruned may complete in a parallel run and vice versa),
-/// and `levels_propagated`/`nodes_computed`/`convolutions_reused`/
-/// `bounds_evaluated` vary accordingly; the returned [`Selection`]s are
+/// ends exactly one way. With one worker every counter is deterministic.
+/// With more, the *split* between the two may differ from one worker's
+/// (the threshold rises at different moments, so a candidate one worker
+/// pruned may complete and vice versa), and `levels_propagated`/
+/// `nodes_computed`/`convolutions_reused`/`bounds_evaluated`/
+/// `sink_pruned` vary accordingly; the returned [`Selection`]s are
 /// bit-identical regardless.
 ///
 /// In an optimizer sweep, a candidate whose bound was parked by an
@@ -191,14 +193,11 @@ pub struct PruneStats {
     /// counting the same two initializations.
     pub nodes_computed: usize,
     /// Side-input edge convolutions served from the sweep's
-    /// [`EdgeConvMemo`] instead of recomputed. Deterministic for the
-    /// serial sweep; under threads > 1 each worker keeps its own memo, so
-    /// the count depends on the schedule like the pruned/completed split.
+    /// [`EdgeConvMemo`] instead of recomputed. Each worker keeps its own
+    /// memo.
     pub convolutions_reused: usize,
     /// Front-node shift bounds measured with `lattice_shift_bound`; every
-    /// other front node inherits its bound from its fan-in. Deterministic
-    /// for the serial sweep; schedule-dependent under threads > 1, like
-    /// the pruned/completed split.
+    /// other front node inherits its bound from its fan-in.
     pub bounds_evaluated: usize,
     /// Candidates whose initial bound came from the optimizer's parked
     /// bounds instead of a fresh initialization. Deterministic for every
@@ -206,9 +205,7 @@ pub struct PruneStats {
     pub bounds_reused: usize,
     /// Fronts pruned by the sink-aware bound (percentile objectives) at a
     /// point where the front bound alone would have advanced them; they
-    /// also count in `pruned`. Deterministic for the serial sweep;
-    /// schedule-dependent under threads > 1, like the pruned/completed
-    /// split.
+    /// also count in `pruned`.
     pub sink_pruned: usize,
 }
 
@@ -653,11 +650,23 @@ impl<'a> Candidate<'a> {
     }
 }
 
-/// Max-heap entry ordered by bound (descending), ties toward the lower
-/// gate index, using the IEEE total order for determinism.
+/// Max-heap entry: a candidate not yet initialized (`smx: None`), which
+/// outranks every bound, or one keyed by its front bound `Smx`
+/// (descending). Ties go to the lower gate index; bounds compare in the
+/// IEEE total order, for determinism.
+#[derive(Debug, Clone, Copy)]
 struct HeapEntry {
-    smx: f64,
+    smx: Option<f64>,
     idx: usize,
+}
+
+impl HeapEntry {
+    fn bound(smx: f64, idx: usize) -> Self {
+        Self {
+            smx: Some(smx),
+            idx,
+        }
+    }
 }
 
 impl PartialEq for HeapEntry {
@@ -673,10 +682,23 @@ impl PartialOrd for HeapEntry {
 }
 impl Ord for HeapEntry {
     fn cmp(&self, other: &Self) -> Ordering {
-        self.smx
-            .total_cmp(&other.smx)
-            .then(other.idx.cmp(&self.idx))
+        let rank = match (self.smx, other.smx) {
+            (Some(a), Some(b)) => a.total_cmp(&b),
+            (a, b) => b.is_some().cmp(&a.is_some()),
+        };
+        rank.then(other.idx.cmp(&self.idx))
     }
+}
+
+/// The state the sweep's workers share, behind one lock.
+struct Shared<'c> {
+    /// One entry per unfinished candidate.
+    heap: BinaryHeap<HeapEntry>,
+    /// Per candidate, the front rebuilt since its bound was recorded,
+    /// while its entry waits on the heap.
+    fronts: Vec<Option<Box<Candidate<'c>>>>,
+    /// Completed selections, kept sorted best-first.
+    completed: Vec<Selection>,
 }
 
 /// The k-th-best pruning threshold over a best-first-sorted completed
@@ -718,10 +740,9 @@ impl PrunedSelector {
     }
 
     /// Sets a cooperative [`Deadline`] for the sweep (default: none).
-    /// The deadline is polled at candidate and front-level boundaries —
-    /// once per heap pop in the serial sweep, once per claim and per
-    /// propagated level in the parallel sweep — so an expired deadline
-    /// surfaces within one bounded unit of work. Use the `try_*` entry
+    /// The deadline is polled once per heap pop, on every thread count,
+    /// so an expired deadline surfaces within one unit of work: one
+    /// initialization, one prune or one propagated level. Use the `try_*` entry
     /// points with a deadline set; the infallible ones panic on expiry.
     #[must_use]
     pub fn with_deadline(mut self, deadline: Deadline) -> Self {
@@ -861,8 +882,8 @@ impl PrunedSelector {
         })
     }
 
-    /// Runs the serial or the parallel sweep, reading and filling
-    /// `parked` when given.
+    /// The sweep (Figure 6) on `threads` workers sharing one heap (see
+    /// the module docs), reading and filling `parked` when given.
     fn sweep(
         &self,
         circuit: &TimedCircuit<'_>,
@@ -876,13 +897,177 @@ impl PrunedSelector {
             "pruned selection requires a shift-bounded objective; \
              use BruteForceSelector for {objective}"
         );
-        let candidates = circuit.netlist().gate_count();
-        let threads = normalize_threads(self.threads, candidates);
-        if threads > 1 {
-            self.select_top_k_parallel(circuit, objective, k, threads, parked)
-        } else {
-            self.select_top_k_serial(circuit, objective, k, parked)
+        let base = circuit.ssta();
+        let base_cost = circuit.objective_value(objective);
+        let gates: Vec<GateId> = circuit.netlist().gate_ids().collect();
+        let threads = normalize_threads(self.threads, gates.len());
+        let mut stats = PruneStats {
+            candidates: gates.len(),
+            ..PruneStats::default()
+        };
+        // One read-only sink-aware table for every worker.
+        let sink_bound = SinkBound::new(circuit, objective, self.delta_w);
+
+        // A bound an earlier optimizer sweep parked, and no commit since
+        // invalidated, is taken as is; every other candidate waits on the
+        // heap to be initialized.
+        let mut heap = BinaryHeap::with_capacity(gates.len());
+        for (idx, &gate) in gates.iter().enumerate() {
+            let smx = parked.as_deref().and_then(|p| p.get(gate));
+            stats.bounds_reused += usize::from(smx.is_some());
+            heap.push(HeapEntry { smx, idx });
         }
+        let parking = parked.is_some();
+        let shared = Mutex::new(Shared {
+            heap,
+            fronts: gates.iter().map(|_| None).collect(),
+            completed: Vec::new(),
+        });
+
+        let workers = run_workers(threads, || {
+            // Each worker's buffer pool and side-edge convolution memo
+            // serve every front it touches: distributions a front retires
+            // serve the next step, and a side input convolved for one
+            // front serves every other.
+            let mut scratch = DistScratch::new();
+            let mut memo = EdgeConvMemo::new(base, circuit.delays());
+            let mut local = PruneStats::default();
+            let mut fresh = Vec::new();
+            // What the last unit of work leaves for the shared state: an
+            // entry (with its front) to push back, or a completion.
+            let mut requeue: Option<(HeapEntry, Option<Box<Candidate<'_>>>)> = None;
+            let mut done: Option<Selection> = None;
+            let outcome = loop {
+                let (entry, mut front, cut, top) = {
+                    let mut shared = shared.lock().expect("sweep worker panicked");
+                    if let Some((entry, front)) = requeue.take() {
+                        shared.fronts[entry.idx] = front;
+                        shared.heap.push(entry);
+                    }
+                    if let Some(selection) = done.take() {
+                        let at = shared
+                            .completed
+                            .partition_point(|existing| existing.better_than(&selection));
+                        shared.completed.insert(at, selection);
+                    }
+                    let Some(entry) = shared.heap.pop() else {
+                        break Ok(());
+                    };
+                    let front = shared.fronts[entry.idx].take();
+                    let cut = threshold_of(&shared.completed, k) - PRUNE_SLACK;
+                    (entry, front, cut, shared.heap.peek().copied())
+                };
+                // Cooperative deadline, once per pop: one unit of work.
+                if let Err(expired) = self.deadline.check() {
+                    break Err(expired);
+                }
+                let idx = entry.idx;
+                let Some(smx) = entry.smx else {
+                    // Initialize (Figure 7), recording only the bound: the
+                    // walk is recycled at once and rebuilt if the bound
+                    // survives its first pop.
+                    let cand = self.initialize_candidate(
+                        circuit,
+                        gates[idx],
+                        &mut scratch,
+                        &mut memo,
+                        &mut local,
+                    );
+                    cand.walk.recycle_into(&mut scratch);
+                    if parking {
+                        fresh.push((gates[idx], cand.smx));
+                    }
+                    requeue = Some((HeapEntry::bound(cand.smx, idx), None));
+                    continue;
+                };
+                // A front outranks the rest when its bound beats the next
+                // key, which bounds that entry's own front from above.
+                let outranks = |smx: f64| top.is_none_or(|t| HeapEntry::bound(smx, idx) > t);
+                // Prune: the bound says this candidate can never enter
+                // the top k (minus the floating-point safety slack). A
+                // bound that survives has its front rebuilt —
+                // initialization is deterministic, so to exactly that
+                // bound — and its inherited bounds measured as far as
+                // this pop's decision needs.
+                let prune = smx < cut || {
+                    let cand = front.get_or_insert_with(|| {
+                        Box::new(self.initialize_candidate(
+                            circuit,
+                            gates[idx],
+                            &mut scratch,
+                            &mut memo,
+                            &mut local,
+                        ))
+                    });
+                    debug_assert_eq!(
+                        cand.smx.to_bits(),
+                        smx.to_bits(),
+                        "front drifted from its key"
+                    );
+                    cand.tighten(base, self.delta_w, |b| b >= cut && outranks(b), &mut local);
+                    cand.smx < cut
+                };
+                if prune {
+                    local.pruned += 1;
+                } else {
+                    let cand = front.as_mut().expect("rebuilt above");
+                    if !outranks(cand.smx) {
+                        // Its tighter bound fell behind another entry's
+                        // key: take it up again when that bound reaches
+                        // the top.
+                        requeue = Some((HeapEntry::bound(cand.smx, idx), front));
+                        continue;
+                    }
+                    // The front bound says advance; the sink-aware bound,
+                    // read only here, may still prune.
+                    if sink_bound
+                        .as_ref()
+                        .is_some_and(|s| cand.sink_prunes(s, cut, base, self.delta_w, &mut local))
+                    {
+                        local.pruned += 1;
+                        local.sink_pruned += 1;
+                    } else {
+                        self.advance(cand, circuit, &mut scratch, &mut memo, &mut local);
+                        let Some(sink) = cand.walk.sink_arrival() else {
+                            requeue = Some((HeapEntry::bound(cand.smx, idx), front));
+                            continue;
+                        };
+                        // Front reached the sink: exact sensitivity.
+                        local.completed += 1;
+                        done = Some(Selection {
+                            gate: cand.gate,
+                            sensitivity: (base_cost - objective.value(sink)) / self.delta_w,
+                        });
+                    }
+                }
+                if let Some(c) = front {
+                    c.walk.recycle_into(&mut scratch);
+                }
+            };
+            local.convolutions_reused = memo.reused();
+            memo.recycle_into(&mut scratch);
+            (local, fresh, outcome)
+        });
+        // Worker-index order: a fixed merge order for every counter and
+        // every freshly recorded bound, parked even when the deadline
+        // expired.
+        if let Some(parked) = parked {
+            for &(gate, smx) in workers.iter().flat_map(|(_, fresh, _)| fresh) {
+                parked.park(gate, smx);
+            }
+        }
+        for (local, _, outcome) in &workers {
+            (*outcome)?;
+            stats.merge(local);
+        }
+
+        let mut completed = shared
+            .into_inner()
+            .expect("sweep worker panicked")
+            .completed;
+        completed.truncate(k);
+        completed.retain(|s| s.sensitivity > 0.0);
+        Ok((completed, stats))
     }
 
     /// Initializes one candidate front (Figure 7): temporary resize,
@@ -931,374 +1116,6 @@ impl PrunedSelector {
         stats.levels_propagated += 1;
         stats.nodes_computed += report.computed.len();
         cand.absorb(&report, circuit, self.delta_w, stats);
-    }
-
-    /// The serial reference sweep: best-bound-first propagation with a
-    /// global heap (Figure 6 exactly as written).
-    fn select_top_k_serial(
-        &self,
-        circuit: &TimedCircuit<'_>,
-        objective: Objective,
-        k: usize,
-        mut parked: Option<&mut ParkedBounds>,
-    ) -> Result<(Vec<Selection>, PruneStats), DeadlineExceeded> {
-        let base = circuit.ssta();
-        let base_cost = circuit.objective_value(objective);
-        let gates: Vec<GateId> = circuit.netlist().gate_ids().collect();
-        let mut stats = PruneStats {
-            candidates: gates.len(),
-            ..PruneStats::default()
-        };
-
-        // One buffer pool and one side-edge convolution memo shared by
-        // every candidate front in this sweep: distributions retired by
-        // any front immediately serve the next propagation step, and a
-        // side input convolved for one front serves every other.
-        let mut scratch = DistScratch::new();
-        let mut memo = EdgeConvMemo::new(base, circuit.delays());
-        let sink_bound = SinkBound::new(circuit, objective, self.delta_w);
-
-        // --- Initialize every candidate (Figure 7), parking only its
-        // bound: the walk is recycled at once and rebuilt if the bound
-        // survives its first pop. A bound an earlier optimizer sweep
-        // parked, and no commit since invalidated, is taken as is. ---
-        let mut heap: BinaryHeap<HeapEntry> = BinaryHeap::with_capacity(gates.len());
-        for (idx, &gate) in gates.iter().enumerate() {
-            self.deadline.check()?;
-            let smx = if let Some(smx) = parked.as_deref().and_then(|p| p.get(gate)) {
-                stats.bounds_reused += 1;
-                smx
-            } else {
-                let cand =
-                    self.initialize_candidate(circuit, gate, &mut scratch, &mut memo, &mut stats);
-                cand.walk.recycle_into(&mut scratch);
-                if let Some(p) = parked.as_deref_mut() {
-                    p.park(gate, cand.smx);
-                }
-                cand.smx
-            };
-            heap.push(HeapEntry { smx, idx });
-        }
-
-        // --- Best-bound-first propagation with pruning (Figure 6). ---
-        // Every unfinished candidate has exactly one heap entry, keyed by
-        // its current bound; `fronts` holds the walks of the candidates
-        // rebuilt since their bound was parked.
-        let mut fronts: Vec<Option<Candidate<'_>>> = gates.iter().map(|_| None).collect();
-        // Completed selections, kept sorted best-first. The pruning
-        // threshold is the k-th best completed sensitivity (the paper's
-        // `Max_S` when k = 1), never below 0.
-        let mut completed: Vec<Selection> = Vec::new();
-
-        while let Some(HeapEntry { smx, idx }) = heap.pop() {
-            // One heap pop == at most one propagated level: the natural
-            // cooperative-deadline boundary of the serial sweep.
-            self.deadline.check()?;
-            let cut = threshold_of(&completed, k) - PRUNE_SLACK;
-            // A front outranks the rest when its bound beats the next
-            // key, which bounds that entry's own front from above.
-            let top = heap.peek();
-            let outranks = |smx: f64| top.is_none_or(|t| HeapEntry { smx, idx } > *t);
-            // Prune: the bound says this candidate can never enter the
-            // top k (minus the floating-point safety slack). A parked
-            // bound that survives has its front rebuilt — initialization
-            // is deterministic, so to exactly the parked bound — and
-            // its inherited bounds measured as far as this pop's
-            // decision needs.
-            let prune = smx < cut || {
-                let cand = fronts[idx].get_or_insert_with(|| {
-                    self.initialize_candidate(
-                        circuit,
-                        gates[idx],
-                        &mut scratch,
-                        &mut memo,
-                        &mut stats,
-                    )
-                });
-                debug_assert_eq!(
-                    cand.smx.to_bits(),
-                    smx.to_bits(),
-                    "front drifted from its key"
-                );
-                cand.tighten(base, self.delta_w, |b| b >= cut && outranks(b), &mut stats);
-                cand.smx < cut
-            };
-            if prune {
-                stats.pruned += 1;
-                if let Some(c) = fronts[idx].take() {
-                    c.walk.recycle_into(&mut scratch);
-                }
-                continue;
-            }
-            let cand = fronts[idx].as_mut().expect("rebuilt above");
-            if !outranks(cand.smx) {
-                // Its tighter bound fell behind another entry's key: take
-                // it up again when that bound reaches the top.
-                heap.push(HeapEntry { smx: cand.smx, idx });
-                continue;
-            }
-            // The front bound says advance; the sink-aware bound, read
-            // only here, may still prune.
-            if sink_bound
-                .as_ref()
-                .is_some_and(|s| cand.sink_prunes(s, cut, base, self.delta_w, &mut stats))
-            {
-                stats.pruned += 1;
-                stats.sink_pruned += 1;
-                if let Some(c) = fronts[idx].take() {
-                    c.walk.recycle_into(&mut scratch);
-                }
-                continue;
-            }
-            self.advance(cand, circuit, &mut scratch, &mut memo, &mut stats);
-
-            if let Some(sink) = cand.walk.sink_arrival() {
-                // Front reached the sink: exact sensitivity.
-                let sensitivity = (base_cost - objective.value(sink)) / self.delta_w;
-                stats.completed += 1;
-                let selection = Selection {
-                    gate: cand.gate,
-                    sensitivity,
-                };
-                let pos = completed.partition_point(|existing| existing.better_than(&selection));
-                completed.insert(pos, selection);
-                if let Some(c) = fronts[idx].take() {
-                    c.walk.recycle_into(&mut scratch);
-                }
-            } else {
-                heap.push(HeapEntry { smx: cand.smx, idx });
-            }
-        }
-        stats.convolutions_reused = memo.reused();
-        memo.recycle_into(&mut scratch);
-
-        completed.truncate(k);
-        completed.retain(|s| s.sensitivity > 0.0);
-        Ok((completed, stats))
-    }
-
-    /// The work-stealing parallel sweep — bit-identical selections (see
-    /// the module docs for why any pruning schedule yields the same
-    /// top-k).
-    ///
-    /// Both phases run inside a single spawn of the worker pool: each
-    /// worker initializes fronts until the init cursor drains, parking
-    /// only each candidate's bound, meets the others at a barrier (the
-    /// leader publishes the propagation claim order there), and
-    /// continues straight into the sweep with its scratch pool and its
-    /// side-edge convolution memo intact. A claimed candidate whose
-    /// parked bound survives the threshold is re-initialized once and
-    /// then advanced.
-    fn select_top_k_parallel(
-        &self,
-        circuit: &TimedCircuit<'_>,
-        objective: Objective,
-        k: usize,
-        threads: usize,
-        parked: Option<&mut ParkedBounds>,
-    ) -> Result<(Vec<Selection>, PruneStats), DeadlineExceeded> {
-        let base = circuit.ssta();
-        let base_cost = circuit.objective_value(objective);
-        let gates: Vec<GateId> = circuit.netlist().gate_ids().collect();
-        let n = gates.len();
-        let mut stats = PruneStats {
-            candidates: n,
-            ..PruneStats::default()
-        };
-
-        // Initial bounds, parked between the phases (each set exactly
-        // once in phase 1 and read after the barrier).
-        let bounds: Vec<OnceLock<f64>> = (0..n).map(|_| OnceLock::new()).collect();
-        let init_queue = WorkQueue::new(n);
-        let sweep_queue = WorkQueue::new(n);
-        // Propagation claim order, published by the barrier leader once
-        // every bound is parked: descending initial bound, ties toward
-        // the lower gate index — the parallel analogue of the serial
-        // heap's best-bound-first discipline, so the strongest candidate
-        // completes early and raises the shared threshold for everyone
-        // else.
-        let order: OnceLock<Vec<usize>> = OnceLock::new();
-        let rendezvous = Barrier::new(threads);
-        let threshold = SharedMax::new(0.0);
-        let completed: Mutex<Vec<Selection>> = Mutex::new(Vec::new());
-        // Cooperative-deadline latch: the first worker that observes the
-        // expired deadline raises it; everyone else sees it at their next
-        // claim (or right after the rendezvous) and unwinds through the
-        // normal return path — no thread is ever cancelled mid-step.
-        let expired = AtomicBool::new(false);
-        // Workers read the parked bounds shared and return the bounds
-        // they initialize, parked after the pool joins.
-        let reuse = parked.as_deref();
-        // One read-only sink-aware table for every worker.
-        let sink_bound = SinkBound::new(circuit, objective, self.delta_w);
-
-        let workers: Vec<(PruneStats, Vec<(GateId, f64)>)> = run_workers(threads, || {
-            let mut scratch = DistScratch::new();
-            let mut memo = EdgeConvMemo::new(base, circuit.delays());
-            let mut local = PruneStats::default();
-            let mut fresh = Vec::new();
-
-            // --- Phase 1: initialize every front (Figure 7), workers
-            // stealing candidate indices from a shared cursor. ---
-            while !expired.load(AtomicOrdering::Relaxed) {
-                if self.deadline.expired() {
-                    expired.store(true, AtomicOrdering::Relaxed);
-                    break;
-                }
-                let Some(idx) = init_queue.claim() else {
-                    break;
-                };
-                let smx = if let Some(smx) = reuse.and_then(|p| p.get(gates[idx])) {
-                    local.bounds_reused += 1;
-                    smx
-                } else {
-                    let cand = self.initialize_candidate(
-                        circuit,
-                        gates[idx],
-                        &mut scratch,
-                        &mut memo,
-                        &mut local,
-                    );
-                    cand.walk.recycle_into(&mut scratch);
-                    if reuse.is_some() {
-                        fresh.push((gates[idx], cand.smx));
-                    }
-                    cand.smx
-                };
-                bounds[idx]
-                    .set(smx)
-                    .expect("each candidate is initialized once");
-            }
-
-            // Rendezvous: every bound is parked (every worker reaches the
-            // barrier even on an expired deadline — a missing party would
-            // deadlock the rest). The barrier elects a leader, which
-            // sorts the initial bounds while the others wait at the
-            // second barrier; then all workers roll on.
-            if rendezvous.wait().is_leader() && !expired.load(AtomicOrdering::Relaxed) {
-                let mut by_bound: Vec<(f64, usize)> = bounds
-                    .iter()
-                    .enumerate()
-                    .map(|(idx, b)| (*b.get().expect("phase 1 parked every bound"), idx))
-                    .collect();
-                by_bound.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
-                order
-                    .set(by_bound.into_iter().map(|(_, idx)| idx).collect())
-                    .expect("only the barrier leader publishes the order");
-            }
-            rendezvous.wait();
-            // The barrier orders the latch store before this load, so an
-            // expiry during phase 1 is visible to every worker here — and
-            // the unpublished claim order is never read.
-            if expired.load(AtomicOrdering::Relaxed) {
-                return (local, fresh);
-            }
-            let order = order.get().expect("leader published before the barrier");
-
-            // --- Phase 2: advance claimed fronts to the sink or prune
-            // them against the live shared threshold (Figure 6's loop,
-            // fronts distributed across workers). ---
-            while let Some(pos) = sweep_queue.claim() {
-                if expired.load(AtomicOrdering::Relaxed) {
-                    break;
-                }
-                let idx = order[pos];
-                let bound = *bounds[idx].get().expect("phase 1 parked every bound");
-                let mut front: Option<Candidate<'_>> = None;
-                let deadline_hit = loop {
-                    // Cooperative deadline, once per front level.
-                    if self.deadline.expired() {
-                        break true;
-                    }
-                    // Prune: the bound says this candidate can never
-                    // enter the top k. A stale (lagging) threshold read
-                    // only delays pruning — it can never prune a
-                    // candidate the final threshold would keep. A parked
-                    // bound that survives has its front rebuilt
-                    // (deterministically, so with the same bound) and
-                    // its inherited bounds measured as far as the prune
-                    // decision needs.
-                    let cut = threshold.get() - PRUNE_SLACK;
-                    let prune = (front.is_none() && bound < cut) || {
-                        let cand = front.get_or_insert_with(|| {
-                            let cand = self.initialize_candidate(
-                                circuit,
-                                gates[idx],
-                                &mut scratch,
-                                &mut memo,
-                                &mut local,
-                            );
-                            debug_assert_eq!(
-                                cand.smx.to_bits(),
-                                bound.to_bits(),
-                                "front drifted from its parked bound"
-                            );
-                            cand
-                        });
-                        cand.tighten(base, self.delta_w, |b| b >= cut, &mut local);
-                        cand.smx < cut
-                    };
-                    if prune {
-                        local.pruned += 1;
-                        break false;
-                    }
-                    let cand = front.as_mut().expect("rebuilt above");
-                    if sink_bound
-                        .as_ref()
-                        .is_some_and(|s| cand.sink_prunes(s, cut, base, self.delta_w, &mut local))
-                    {
-                        local.pruned += 1;
-                        local.sink_pruned += 1;
-                        break false;
-                    }
-                    self.advance(cand, circuit, &mut scratch, &mut memo, &mut local);
-
-                    if let Some(sink) = cand.walk.sink_arrival() {
-                        // Front reached the sink: exact sensitivity,
-                        // published so every worker prunes against it.
-                        let sensitivity = (base_cost - objective.value(sink)) / self.delta_w;
-                        local.completed += 1;
-                        let selection = Selection {
-                            gate: cand.gate,
-                            sensitivity,
-                        };
-                        let mut done = completed.lock().expect("sweep worker panicked");
-                        let at = done.partition_point(|existing| existing.better_than(&selection));
-                        done.insert(at, selection);
-                        threshold.raise(threshold_of(&done, k));
-                        break false;
-                    }
-                };
-                if let Some(c) = front {
-                    c.walk.recycle_into(&mut scratch);
-                }
-                if deadline_hit {
-                    expired.store(true, AtomicOrdering::Relaxed);
-                    break;
-                }
-            }
-            local.convolutions_reused = memo.reused();
-            memo.recycle_into(&mut scratch);
-            (local, fresh)
-        });
-        // Worker-index order: a fixed merge order for every counter and
-        // every freshly parked bound.
-        if let Some(parked) = parked {
-            for &(gate, smx) in workers.iter().flat_map(|(_, fresh)| fresh) {
-                parked.park(gate, smx);
-            }
-        }
-        if expired.load(AtomicOrdering::Relaxed) {
-            return Err(DeadlineExceeded);
-        }
-        for (s, _) in &workers {
-            stats.merge(s);
-        }
-
-        let mut completed = completed.into_inner().expect("sweep worker panicked");
-        completed.truncate(k);
-        completed.retain(|s| s.sensitivity > 0.0);
-        Ok((completed, stats))
     }
 }
 
@@ -1958,6 +1775,39 @@ mod tests {
                 sel.try_select_top_k_with_stats(&circuit, obj, 2).is_err(),
                 "threads={threads}"
             );
+        }
+    }
+
+    /// A deadline can expire mid-sweep without leaving a worker waiting:
+    /// at every budget and thread count the sweep returns either
+    /// `DeadlineExceeded` or exactly the unlimited selection.
+    #[test]
+    fn deadline_expiring_mid_sweep_hangs_no_worker() {
+        let lib = CellLibrary::synthetic_180nm();
+        let obj = Objective::percentile(0.99);
+        for nl in [
+            shapes::grid("g", 4, 5),
+            generator::generate_iscas("c432", 1).unwrap(),
+        ] {
+            let circuit = TimedCircuit::new(&nl, &lib, VariationModel::paper_default(), 2.0);
+            let want = PrunedSelector::new(1.0)
+                .with_threads(1)
+                .select_top_k(&circuit, obj, 2);
+            for threads in [1, 2, 4] {
+                for micros in [0, 100, 1_000, 10_000] {
+                    let sel = PrunedSelector::new(1.0)
+                        .with_threads(threads)
+                        .with_deadline(Deadline::after(std::time::Duration::from_micros(micros)));
+                    let at = format!("{}, threads={threads}, {micros} µs", nl.name());
+                    match sel.try_select_top_k_with_stats(&circuit, obj, 2) {
+                        Err(DeadlineExceeded) => {}
+                        Ok((got, stats)) => {
+                            assert_eq!(got, want, "{at}");
+                            assert_eq!(stats.pruned + stats.completed, stats.candidates, "{at}");
+                        }
+                    }
+                }
+            }
         }
     }
 

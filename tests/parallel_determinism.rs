@@ -1,11 +1,11 @@
-//! Determinism suite for the work-stealing parallel candidate sweeps.
+//! Determinism suite for the selectors' multi-threaded candidate sweeps.
 //!
-//! The contract under test: for every thread count, the parallel
-//! selectors return **bit-identical** `Selection`s to the serial
-//! reference sweep — same gates, same sensitivities, same order — and
-//! the `PruneStats` accounting invariant `pruned + completed ==
-//! candidates` holds (the *split* between the two counters is allowed to
-//! differ across schedules; the selections are not).
+//! The contract under test: for every thread count, the selectors return
+//! **bit-identical** `Selection`s to a one-worker sweep — same gates, same
+//! sensitivities, same order — and the `PruneStats` accounting invariant
+//! `pruned + completed == candidates` holds (the *split* between the two
+//! counters is allowed to differ across schedules; the selections are
+//! not).
 
 use statsize::{BruteForceSelector, Objective, PruneStats, PrunedSelector, TimedCircuit};
 use statsize_cells::{CellLibrary, VariationModel};
@@ -21,42 +21,57 @@ fn assert_stats_invariant(stats: &PruneStats, ctx: &str) {
     );
 }
 
-/// Serial-vs-parallel bit-identity of `select` and `select_top_k` on one
-/// generated ISCAS profile, plus the stats invariant at every thread
-/// count.
+/// One-worker-vs-N-worker bit-identity of `select` and `select_top_k` on
+/// one generated ISCAS profile, under the mean objective (no sink-aware
+/// bound) and two percentiles, plus the stats invariant at every thread
+/// count. The public entry points reuse no parked bound.
 fn check_pruned_profile(name: &str, seed: u64, dt: f64, k: usize) {
     let nl = generator::generate_iscas(name, seed).unwrap();
     let lib = CellLibrary::synthetic_180nm();
     let circuit = TimedCircuit::new(&nl, &lib, VariationModel::paper_default(), dt);
-    let obj = Objective::percentile(0.99);
     let selector = PrunedSelector::new(1.0);
 
-    let (want_best, serial_stats) = selector.with_threads(1).select_with_stats(&circuit, obj);
-    let want_best = want_best.expect("minimum-size profiles always have an improving gate");
-    assert_stats_invariant(&serial_stats, &format!("{name}: serial"));
-    let want_top = selector.with_threads(1).select_top_k(&circuit, obj, k);
-    assert_eq!(
-        want_top.first(),
-        Some(&want_best),
-        "{name}: top-1 is the argmax"
-    );
-
-    for threads in THREAD_COUNTS {
-        let par = selector.with_threads(threads);
-        let (got_best, stats) = par.select_with_stats(&circuit, obj);
+    for obj in [
+        Objective::Mean,
+        Objective::percentile(0.5),
+        Objective::percentile(0.99),
+    ] {
+        let (want_best, serial_stats) = selector.with_threads(1).select_with_stats(&circuit, obj);
+        let want_best = want_best.expect("minimum-size profiles always have an improving gate");
+        assert_stats_invariant(&serial_stats, &format!("{name}, {obj}: one worker"));
+        let want_top = selector.with_threads(1).select_top_k(&circuit, obj, k);
         assert_eq!(
-            Some(want_best),
-            got_best,
-            "{name}: select must be bit-identical at {threads} threads"
+            want_top.first(),
+            Some(&want_best),
+            "{name}, {obj}: top-1 is the argmax"
         );
-        assert_stats_invariant(&stats, &format!("{name}: {threads} threads"));
-        assert_eq!(stats.candidates, serial_stats.candidates, "{name}");
 
-        let got_top = par.select_top_k(&circuit, obj, k);
-        assert_eq!(
-            want_top, got_top,
-            "{name}: select_top_k({k}) must be bit-identical at {threads} threads"
-        );
+        for threads in THREAD_COUNTS {
+            let par = selector.with_threads(threads);
+            let (got_best, stats) = par.select_with_stats(&circuit, obj);
+            assert_eq!(
+                Some(want_best),
+                got_best,
+                "{name}, {obj}: select must be bit-identical at {threads} threads"
+            );
+            let ctx = format!("{name}, {obj}: {threads} threads");
+            assert_stats_invariant(&stats, &ctx);
+            assert_eq!(stats.candidates, serial_stats.candidates, "{ctx}");
+            assert_eq!(
+                stats.bounds_reused, 0,
+                "{ctx}: public entry points stay cold"
+            );
+
+            let (got_top, stats) = par.select_top_k_with_stats(&circuit, obj, k);
+            assert_eq!(
+                want_top, got_top,
+                "{ctx}: select_top_k({k}) must be bit-identical"
+            );
+            assert_eq!(
+                stats.bounds_reused, 0,
+                "{ctx}: public entry points stay cold"
+            );
+        }
     }
 }
 
