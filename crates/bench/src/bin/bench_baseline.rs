@@ -17,7 +17,8 @@
 //! selection sweeps at 1/2/4/8 worker threads (`pruned_parallel/*`; the
 //! threaded rows are the median of five independent runs, one under
 //! `--quick`), a six-iteration serial gen1200 descent
-//! (`optimizer_run/gen1200/i6`),
+//! (`optimizer_run/gen1200/i6`, followed by its per-iteration nodes
+//! computed, bounds reused and candidates pruned on their pre-bound),
 //! 3-circuit sharded campaigns (`campaign/*`), result-store campaign
 //! paths (`campaign_store/*`: cold vs cache-replayed vs warm-started
 //! delta run), and serve-mode query latency (`service_query/*`: cold
@@ -38,8 +39,8 @@
 //!   Purely informational: no thresholds, never fails.
 
 use statsize::{
-    Campaign, CampaignJob, Design, Objective, Optimizer, PrunedSelector, ResultStore, SelectorKind,
-    Session, TimedCircuit,
+    Campaign, CampaignJob, Design, Objective, Optimizer, PruneStats, PrunedSelector, ResultStore,
+    SelectorKind, Session, TimedCircuit,
 };
 use statsize_bench::emit::JsonObject;
 use statsize_bench::suite;
@@ -444,19 +445,38 @@ fn main() {
     // A whole serial descent: six `Optimizer::run` iterations on gen1200
     // at dt = 1 from minimum sizes (including building the timing
     // state), where each sweep after the first reuses the Figure-7
-    // bounds the commits before it left valid.
+    // bounds the commits before it left valid, and every sweep prunes
+    // most candidates on their pre-bound before initializing them. The
+    // row is followed by the descent's per-iteration work counters,
+    // which are deterministic on one worker.
     {
         let nl = suite::build_circuit("gen1200", 1);
         let lib = CellLibrary::synthetic_180nm();
         let optimizer = Optimizer::new(Objective::percentile(0.99), SelectorKind::Pruned)
             .with_threads(1)
             .with_max_iterations(6);
+        let descend = || {
+            let mut timed = TimedCircuit::new(&nl, &lib, VariationModel::paper_default(), 1.0);
+            optimizer.run(&mut timed)
+        };
         record(
             "optimizer_run/gen1200/i6".to_string(),
             measure(effort, || {
-                let mut timed = TimedCircuit::new(&nl, &lib, VariationModel::paper_default(), 1.0);
-                black_box(optimizer.run(black_box(&mut timed)));
+                black_box(descend());
             }),
+        );
+        let sweeps: Vec<PruneStats> = descend()
+            .iterations
+            .iter()
+            .filter_map(|r| r.prune)
+            .collect();
+        let column = |f: fn(&PruneStats) -> usize| sweeps.iter().map(f).collect::<Vec<_>>();
+        println!(
+            "{:<28} nodes {:?}  bounds_reused {:?}  prebound_pruned {:?}",
+            "",
+            column(|s| s.nodes_computed),
+            column(|s| s.bounds_reused),
+            column(|s| s.prebound_pruned),
         );
     }
 

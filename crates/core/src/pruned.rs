@@ -12,7 +12,7 @@
 //! only shrink as fronts advance, the surviving argmax is exactly the
 //! brute-force argmax.
 //!
-//! Five things keep the sweep lean without changing a bit of its output:
+//! Six things keep the sweep lean without changing a bit of its output:
 //!
 //! * **Parked bounds.** Initialization records each candidate's `Smx` and
 //!   recycles its walk at once; most candidates are pruned on that bound
@@ -34,6 +34,9 @@
 //!   a set closed under fan-out, so anything such a bound reads changes
 //!   only when one of those outputs is recomputed. The public `select*`
 //!   entry points never see the cache: they initialize every candidate.
+//!   A sweep parks only the bounds of candidates whose pre-bound
+//!   (below) reaches its final cut, the ones every schedule initializes,
+//!   so what it parks is the same for every thread count.
 //! * **A per-sweep edge-convolution memo** ([`EdgeConvMemo`]). A front
 //!   node's side inputs — gate edges whose upstream still carries its
 //!   base arrival and whose gate is not overridden — convolve to the same
@@ -83,6 +86,26 @@
 //!   dt 1 and 0.25. On the 6-iteration gen1200 descent it cut the fronts
 //!   completed from 267 to 25 and the nodes computed from 176,205 to
 //!   98,195.
+//! * **A pre-bound before initialization, in the optimizer.** Theorems
+//!   1–3 bound a front before any walk: a trial resize perturbs only the
+//!   outputs of the candidate and its drivers and their fan-out, and
+//!   each of those outputs shifts by no more than the trial delays
+//!   behind it do (`lattice_shift_bound` of each trial delay against
+//!   the current one; see `prebound_front`). The sweeps of
+//!   [`Optimizer::step`](crate::Optimizer::step) key each candidate they
+//!   must initialize by that bound over `Δw`, lowered for percentile
+//!   objectives to the [`SinkBound`] reading of the same nodes, and pop
+//!   it best-first like any other entry: one whose key falls below the
+//!   cut is pruned with no walk at all (`PruneStats::prebound_pruned`)
+//!   and parks nothing; any other is initialized and goes back keyed by
+//!   `Smx`. With one worker a key below the final cut pops only after
+//!   every top-k front has completed, so it is always pruned. The
+//!   public `select*` entry points key every uninitialized candidate
+//!   `+∞`, so there every candidate initializes first, in gate order,
+//!   as before. A unit test checks, for every gate of several
+//!   circuits, the premise on the body window and that the key is at
+//!   least the brute-force sensitivity; the key is not held to `Smx`,
+//!   which the tail excesses below can lift past it.
 //!
 //! Soundness note: past the front, propagation merges with *unperturbed*
 //! side inputs (shift 0), so the usable guarantee is
@@ -114,18 +137,22 @@
 //! calling thread). They share one mutex-guarded heap, holding one entry
 //! per unfinished candidate, and the best-first list of completed
 //! selections that sets the threshold. A candidate enters the heap with
-//! a still-valid parked bound or as *uninitialized*, which outranks every
-//! bound (ties to the lower gate index). A worker pops the top entry,
-//! notes the threshold and the next key, and does one unit of work
-//! outside the lock. It initializes an uninitialized entry (Figure 7)
-//! and pushes it back keyed by the fresh bound. A front it prunes, pushes
+//! a still-valid parked bound or as *uninitialized*, keyed by its
+//! pre-bound in an optimizer sweep and by `+∞`, above every bound, in a
+//! public one (ties to the lower gate index). A worker pops the top
+//! entry, notes the threshold and the next key, and does one unit of
+//! work outside the lock. It prunes an uninitialized entry whose key is
+//! below the threshold, and initializes any other (Figure 7) and pushes
+//! it back keyed by the fresh bound. A front it prunes, pushes
 //! back when its tightened bound falls behind the next key, or advances
 //! one level and pushes back unless it completed; a rebuilt walk waits
-//! in a slot keyed by gate index, for any worker. With one worker this is
-//! Figure 6 as written: every candidate initializes in gate order, then
-//! fronts advance strictly best-bound-first. With more, they initialize
-//! in parallel and then advance the best few fronts side by side, each
-//! worker with its own buffer pool and side-edge memo. A worker exits
+//! in a slot keyed by gate index, for any worker. With one worker a
+//! public sweep is Figure 6 as written: every candidate initializes in
+//! gate order, then fronts advance strictly best-bound-first; an
+//! optimizer sweep interleaves initializations with advances, best key
+//! first. With more, candidates initialize in parallel and the best few
+//! fronts advance side by side, each worker with its own buffer pool
+//! and side-edge memo. A worker exits
 //! when it pops from an empty heap: every unfinished front then sits with
 //! a live worker, which pushes it back and pops again, so no worker ever
 //! waits on another. The deadline is polled once per pop.
@@ -142,7 +169,10 @@
 //! worker: which fronts advance side by side decides when the threshold
 //! rises (the invariant `pruned + completed == candidates` always
 //! holds), and which worker's memo first meets a side input decides how
-//! many convolutions are reused.
+//! many convolutions are reused. In an optimizer sweep the same timing
+//! decides which candidates are pruned on their pre-bound; the bounds
+//! parked for the next sweep are not: only those of candidates whose
+//! pre-bound reaches the final cut, which every schedule initializes.
 
 use crate::circuit::{ParkedBounds, TimedCircuit};
 use crate::deadline::{Deadline, DeadlineExceeded};
@@ -168,15 +198,17 @@ use std::sync::Mutex;
 /// (the threshold rises at different moments, so a candidate one worker
 /// pruned may complete and vice versa), and `levels_propagated`/
 /// `nodes_computed`/`convolutions_reused`/`bounds_evaluated`/
-/// `sink_pruned` vary accordingly; the returned [`Selection`]s are
-/// bit-identical regardless.
+/// `sink_pruned`/`prebound_pruned` vary accordingly; the
+/// returned [`Selection`]s are bit-identical regardless.
 ///
 /// In an optimizer sweep, a candidate whose bound was parked by an
 /// earlier sweep and left valid by every commit since is not
 /// initialized: it counts in `bounds_reused`, and `levels_propagated`,
 /// `nodes_computed` and `bounds_evaluated` do not include the
-/// initialization it skipped. The public selector entry points reuse
-/// nothing.
+/// initialization it skipped. Nor do they include the initialization of
+/// a candidate pruned on its pre-bound (`prebound_pruned`). The public
+/// selector entry points reuse nothing and prune nothing before
+/// initializing it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PruneStats {
     /// Number of candidate gates considered (all gates in the circuit).
@@ -201,12 +233,17 @@ pub struct PruneStats {
     pub bounds_evaluated: usize,
     /// Candidates whose initial bound came from the optimizer's parked
     /// bounds instead of a fresh initialization. Deterministic for every
-    /// thread count: it depends only on the commit history.
+    /// thread count: it depends only on the commit history and on each
+    /// earlier sweep's final cut.
     pub bounds_reused: usize,
     /// Fronts pruned by the sink-aware bound (percentile objectives) at a
     /// point where the front bound alone would have advanced them; they
     /// also count in `pruned`.
     pub sink_pruned: usize,
+    /// Candidates an optimizer sweep pruned on their pre-bound, without
+    /// initializing them; they also count in `pruned`. Always 0 on the
+    /// public entry points.
+    pub prebound_pruned: usize,
 }
 
 impl PruneStats {
@@ -230,6 +267,7 @@ impl PruneStats {
         self.bounds_evaluated += other.bounds_evaluated;
         self.bounds_reused += other.bounds_reused;
         self.sink_pruned += other.sink_pruned;
+        self.prebound_pruned += other.prebound_pruned;
     }
 }
 
@@ -436,10 +474,21 @@ impl SinkBound {
     /// `inherited`, the front's inherited bounds count as 0: a lower
     /// bound on what measuring them could bring the bound down to.
     fn bound(&self, front: &NodeMap<TimingNode, FrontBound>, inherited: bool) -> f64 {
+        self.bound_of(
+            front
+                .iter()
+                .filter(|(_, b)| inherited || b.exact)
+                .map(|(&node, b)| (node, b.delta)),
+        )
+    }
+
+    /// The sink-aware bound of any set of `(node, Δ)` front bounds that
+    /// separates every perturbed node from the sink.
+    fn bound_of(&self, front: impl IntoIterator<Item = (TimingNode, f64)>) -> f64 {
         let mut ks = vec![0_i64; self.cdfs.len()];
         let mut k_max = 0;
-        for (&node, b) in front.iter().filter(|(_, b)| inherited || b.exact) {
-            let k = (b.delta / self.dt).round() as i64;
+        for (node, delta) in front {
+            let k = (delta / self.dt).round() as i64;
             if k <= 0 {
                 continue;
             }
@@ -650,20 +699,24 @@ impl<'a> Candidate<'a> {
     }
 }
 
-/// Max-heap entry: a candidate not yet initialized (`smx: None`), which
-/// outranks every bound, or one keyed by its front bound `Smx`
-/// (descending). Ties go to the lower gate index; bounds compare in the
-/// IEEE total order, for determinism.
+/// Max-heap entry, keyed by an upper bound on its candidate's
+/// sensitivity (descending): the front bound `Smx` once the candidate
+/// is initialized, and before that its pre-bound in an optimizer sweep
+/// or `+∞` in a public one, so that there every uninitialized entry
+/// outranks every bound. Ties go to the lower gate index; keys compare
+/// in the IEEE total order, for determinism.
 #[derive(Debug, Clone, Copy)]
 struct HeapEntry {
-    smx: Option<f64>,
+    key: f64,
+    initialized: bool,
     idx: usize,
 }
 
 impl HeapEntry {
     fn bound(smx: f64, idx: usize) -> Self {
         Self {
-            smx: Some(smx),
+            key: smx,
+            initialized: true,
             idx,
         }
     }
@@ -682,11 +735,9 @@ impl PartialOrd for HeapEntry {
 }
 impl Ord for HeapEntry {
     fn cmp(&self, other: &Self) -> Ordering {
-        let rank = match (self.smx, other.smx) {
-            (Some(a), Some(b)) => a.total_cmp(&b),
-            (a, b) => b.is_some().cmp(&a.is_some()),
-        };
-        rank.then(other.idx.cmp(&self.idx))
+        self.key
+            .total_cmp(&other.key)
+            .then(other.idx.cmp(&self.idx))
     }
 }
 
@@ -867,8 +918,9 @@ impl PrunedSelector {
 
     /// The optimizer's sweep: [`try_select_top_k_with_stats`](Self::try_select_top_k_with_stats),
     /// taking each candidate's initial bound from the bounds parked on
-    /// `circuit` where one is still valid, and parking every bound it
-    /// initializes for the next sweep.
+    /// `circuit` where one is still valid, keying every other by its
+    /// pre-bound, and parking for the next sweep every bound it
+    /// initializes whose pre-bound reaches the final cut.
     pub(crate) fn try_select_top_k_reusing(
         &self,
         circuit: &mut TimedCircuit<'_>,
@@ -910,14 +962,28 @@ impl PrunedSelector {
 
         // A bound an earlier optimizer sweep parked, and no commit since
         // invalidated, is taken as is; every other candidate waits on the
-        // heap to be initialized.
+        // heap to be initialized, keyed in an optimizer sweep by its
+        // pre-bound and in a public one by `+∞`.
+        let parking = parked.is_some();
         let mut heap = BinaryHeap::with_capacity(gates.len());
         for (idx, &gate) in gates.iter().enumerate() {
-            let smx = parked.as_deref().and_then(|p| p.get(gate));
-            stats.bounds_reused += usize::from(smx.is_some());
-            heap.push(HeapEntry { smx, idx });
+            let entry = match parked.as_deref().and_then(|p| p.get(gate)) {
+                Some(smx) => {
+                    stats.bounds_reused += 1;
+                    HeapEntry::bound(smx, idx)
+                }
+                None => HeapEntry {
+                    key: if parking {
+                        self.prebound(circuit, gate, sink_bound.as_ref())
+                    } else {
+                        f64::INFINITY
+                    },
+                    initialized: false,
+                    idx,
+                },
+            };
+            heap.push(entry);
         }
-        let parking = parked.is_some();
         let shared = Mutex::new(Shared {
             heap,
             fronts: gates.iter().map(|_| None).collect(),
@@ -962,7 +1028,13 @@ impl PrunedSelector {
                     break Err(expired);
                 }
                 let idx = entry.idx;
-                let Some(smx) = entry.smx else {
+                if !entry.initialized {
+                    // A pre-bound below the cut prunes with no walk at all.
+                    if entry.key < cut {
+                        local.pruned += 1;
+                        local.prebound_pruned += 1;
+                        continue;
+                    }
                     // Initialize (Figure 7), recording only the bound: the
                     // walk is recycled at once and rebuilt if the bound
                     // survives its first pop.
@@ -975,13 +1047,14 @@ impl PrunedSelector {
                     );
                     cand.walk.recycle_into(&mut scratch);
                     if parking {
-                        fresh.push((gates[idx], cand.smx));
+                        fresh.push((gates[idx], entry.key, cand.smx));
                     }
                     requeue = Some((HeapEntry::bound(cand.smx, idx), None));
                     continue;
-                };
+                }
+                let smx = entry.key;
                 // A front outranks the rest when its bound beats the next
-                // key, which bounds that entry's own front from above.
+                // key, which bounds that entry's sensitivity from above.
                 let outranks = |smx: f64| top.is_none_or(|t| HeapEntry::bound(smx, idx) > t);
                 // Prune: the bound says this candidate can never enter
                 // the top k (minus the floating-point safety slack). A
@@ -1048,12 +1121,24 @@ impl PrunedSelector {
             memo.recycle_into(&mut scratch);
             (local, fresh, outcome)
         });
+        let mut completed = shared
+            .into_inner()
+            .expect("sweep worker panicked")
+            .completed;
         // Worker-index order: a fixed merge order for every counter and
         // every freshly recorded bound, parked even when the deadline
-        // expired.
+        // expired. Only a bound whose pre-bound reaches the final cut is
+        // parked: every such candidate initializes on every schedule,
+        // while one below it initializes only where the cut rose late,
+        // so the parked set is the same for every thread count. With one
+        // worker nothing is dropped: a key below the final cut pops only
+        // after every top-k front completed, and is pruned.
         if let Some(parked) = parked {
-            for &(gate, smx) in workers.iter().flat_map(|(_, fresh, _)| fresh) {
-                parked.park(gate, smx);
+            let cut = threshold_of(&completed, k) - PRUNE_SLACK;
+            for &(gate, key, smx) in workers.iter().flat_map(|(_, fresh, _)| fresh) {
+                if key >= cut {
+                    parked.park(gate, smx);
+                }
             }
         }
         for (local, _, outcome) in &workers {
@@ -1061,13 +1146,54 @@ impl PrunedSelector {
             stats.merge(local);
         }
 
-        let mut completed = shared
-            .into_inner()
-            .expect("sweep worker panicked")
-            .completed;
         completed.truncate(k);
         completed.retain(|s| s.sensitivity > 0.0);
         Ok((completed, stats))
+    }
+
+    /// The pre-bound front of a trial resize of `gate`, read off the
+    /// trial delays alone: `(node, Δ)` for the output of each of the
+    /// gate's drivers and of the gate itself. With `k_g` the whole-bin
+    /// shift bound of gate `g`'s trial delay against its current one and
+    /// `K = Σ_d max(0, k_d)` over the drivers, every driver's output
+    /// shifts by at most `K`: its every in-edge carries its own trial
+    /// delay (Theorem 1 per in-edge, Theorem 2 over their max), and a
+    /// fan-in that is another driver's output brings at most that
+    /// driver's bound, so along any chain of drivers the positive shifts
+    /// add up. The gate's own output adds its trial delay to fan-ins
+    /// shifted by at most `K`, so it shifts by at most `k_own + K`. This
+    /// holds whatever the sign of each `k_d`; with `Δw > 0` every driver
+    /// slows down (`k_d ≤ 0`), so `K` is 0. Every node a trial perturbs
+    /// is one of these outputs or lies in their fan-out cone, so they
+    /// separate the trial from the sink.
+    fn prebound_front(&self, circuit: &TimedCircuit<'_>, gate: GateId) -> Vec<(TimingNode, f64)> {
+        let overrides = circuit.overrides_for_resize(gate, self.delta_w);
+        let graph = circuit.graph();
+        let shift = |g: GateId| {
+            let trial = overrides.get(g).expect("every resized gate is overridden");
+            lattice_shift_bound(circuit.delays().dist(g), trial)
+        };
+        let drivers: Vec<GateId> = overrides.gates().filter(|&g| g != gate).collect();
+        let upstream: f64 = drivers.iter().map(|&d| shift(d).max(0.0)).sum();
+        let mut front: Vec<(TimingNode, f64)> = drivers
+            .iter()
+            .map(|&d| (graph.out_node_of_gate(d), upstream))
+            .collect();
+        front.push((graph.out_node_of_gate(gate), shift(gate) + upstream));
+        front
+    }
+
+    /// The pre-bound of a candidate: an upper bound on its sensitivity
+    /// that costs no walk. It is the largest [`prebound_front`] shift
+    /// over `Δw`, or, where the objective has a sink-aware table, the
+    /// smaller of that and the table's reading of the same front.
+    ///
+    /// [`prebound_front`]: Self::prebound_front
+    fn prebound(&self, circuit: &TimedCircuit<'_>, gate: GateId, sink: Option<&SinkBound>) -> f64 {
+        let front = self.prebound_front(circuit, gate);
+        let delta_mx = front.iter().fold(f64::NEG_INFINITY, |a, &(_, d)| a.max(d));
+        let key = delta_mx / self.delta_w;
+        sink.map_or(key, |s| key.min(s.bound_of(front)))
     }
 
     /// Initializes one candidate front (Figure 7): temporary resize,
@@ -1124,7 +1250,7 @@ mod tests {
     use super::*;
     use crate::brute::BruteForceSelector;
     use statsize_cells::{CellLibrary, VariationModel};
-    use statsize_dist::Dist;
+    use statsize_dist::{percentile_shift_at, Dist};
     use statsize_netlist::{bench, generator, shapes, GateKind, Netlist, NetlistBuilder};
 
     fn check_matches_brute_force(nl: &Netlist, dt: f64, steps: usize) {
@@ -1258,9 +1384,13 @@ mod tests {
     /// The optimizer's sweeps reuse parked bounds: none in the first
     /// sweep, then every bound no commit invalidated (pinned per
     /// iteration of a six-iteration descent on the 3×4 grid; zero after
-    /// a commit that invalidates all twelve gates). The count depends
-    /// only on the commit history, so it is the same for every thread
-    /// count; the public entry point above stays cold.
+    /// a commit that invalidates all twelve gates). A candidate whose
+    /// pre-bound falls below the sweep's final cut parks nothing, so the
+    /// count depends only on the commit history and is the same for
+    /// every thread count. Serially, those candidates are exactly the
+    /// ones pruned on their pre-bound (pinned beside it); on more
+    /// workers some of them initialize before the cut rises. The public
+    /// entry point above stays cold.
     #[test]
     fn optimizer_sweeps_reuse_parked_bounds() {
         let nl = shapes::grid("g", 3, 4);
@@ -1272,12 +1402,18 @@ mod tests {
                 .with_threads(threads)
                 .with_max_iterations(6)
                 .run(&mut circuit);
-            let reused: Vec<usize> = result
+            let (reused, prebound): (Vec<usize>, Vec<usize>) = result
                 .iterations
                 .iter()
-                .map(|r| r.prune.expect("pruned sweep").bounds_reused)
-                .collect();
-            assert_eq!(reused, [0, 0, 7, 0, 9, 7], "threads={threads}");
+                .map(|r| {
+                    let stats = r.prune.expect("pruned sweep");
+                    (stats.bounds_reused, stats.prebound_pruned)
+                })
+                .unzip();
+            assert_eq!(reused, [0, 0, 6, 0, 8, 6], "threads={threads}");
+            if threads == 1 {
+                assert_eq!(prebound, [0, 1, 0, 1, 1, 1]);
+            }
         }
     }
 
@@ -1359,10 +1495,14 @@ mod tests {
 
         // Detach and re-attach: every bound rides along.
         sweep(&mut c, 1.0);
+        let live = nl
+            .gate_ids()
+            .filter(|&g| c.parked_bounds().get(g).is_some())
+            .count();
         let state = c.into_state();
         let cloned = state.clone();
         let mut c = TimedCircuit::from_state(nl, &lib, var, dt, state);
-        assert_eq!(check_parked_bounds(&c, 1.0), nl.gate_count());
+        assert_eq!(check_parked_bounds(&c, 1.0), live);
 
         // A cloned state diverges from its original.
         let mut fork = TimedCircuit::from_state(nl, &lib, var, dt, cloned);
@@ -1724,6 +1864,100 @@ mod tests {
             for p in [0.5, 0.9, 0.99] {
                 assert!(check_sink_bounds(nl, dt, p) > 0, "{} at dt {dt}", nl.name());
             }
+        }
+    }
+
+    /// Checks every candidate's pre-bound against the walk it stands in
+    /// for. The premise: walked up to the gate's own level, each
+    /// pre-bound front node (the outputs of the gate's drivers and of the
+    /// gate) shifts by at most its `Δ` on the body window, whole-bin and
+    /// interpolated alike. The bound: the key is at least the gate's
+    /// brute-force sensitivity, less `PRUNE_SLACK`. The key is not held
+    /// to the initialized `Smx`, which may sit 1–3 bins higher from tail
+    /// excesses outside the window (module docs). Returns how many
+    /// candidates it checked.
+    fn check_prebounds(nl: &Netlist, dt: f64, objective: Objective) -> usize {
+        const LEVELS: [f64; 9] = [
+            BODY_WINDOW.0,
+            1e-4,
+            0.1,
+            0.5,
+            0.9,
+            0.99,
+            0.999,
+            1.0 - 1e-6,
+            BODY_WINDOW.1,
+        ];
+        let lib = CellLibrary::synthetic_180nm();
+        let circuit = TimedCircuit::new(nl, &lib, VariationModel::paper_default(), dt);
+        let base = circuit.ssta();
+        let graph = circuit.graph();
+        let table = SinkBound::new(&circuit, objective, 1.0);
+        let sel = PrunedSelector::new(1.0);
+        let exact = BruteForceSelector::new(1.0).all_sensitivities(&circuit, objective);
+        let mut scratch = DistScratch::new();
+        for (gate, brute) in nl.gate_ids().zip(&exact) {
+            let at = format!("{} at dt {dt}, {objective}, gate {gate}", nl.name());
+            let overrides = circuit.overrides_for_resize(gate, 1.0);
+            let mut walk = ConeWalk::new(graph, circuit.delays(), base, overrides);
+            let own_level = graph.level(graph.out_node_of_gate(gate));
+            while walk.next_level().is_some_and(|l| l <= own_level) {
+                walk.step_level_with(&mut scratch);
+            }
+            for (node, delta) in sel.prebound_front(&circuit, gate) {
+                let (a, b) = (base.arrival(node), walk.perturbed(node).expect("computed"));
+                let whole = windowed_shift(a, b, BODY_WINDOW.0, BODY_WINDOW.1);
+                assert!(whole <= delta, "{at}, node {node}: shift {whole} > {delta}");
+                for p in LEVELS {
+                    let shift = percentile_shift_at(a, b, p);
+                    assert!(
+                        shift <= delta + 1e-9,
+                        "{at}, node {node}, p {p}: shift {shift} > {delta}"
+                    );
+                }
+            }
+            walk.recycle_into(&mut scratch);
+            let key = sel.prebound(&circuit, gate, table.as_ref());
+            assert!(
+                key >= brute.sensitivity - PRUNE_SLACK,
+                "{at}: key {key} < sensitivity {}",
+                brute.sensitivity
+            );
+        }
+        exact.len()
+    }
+
+    /// The pre-bound is sound for every gate, under the sink-aware key
+    /// (p 0.5, 0.9, 0.99) and the delay-only one (`Mean`).
+    #[test]
+    fn prebounds_hold_for_every_gate() {
+        for dt in [1.0, 0.25] {
+            for nl in [bench::c17(), shapes::grid("g", 3, 4)] {
+                for objective in [
+                    Objective::percentile(0.5),
+                    Objective::percentile(0.9),
+                    Objective::percentile(0.99),
+                    Objective::Mean,
+                ] {
+                    assert!(check_prebounds(&nl, dt, objective) > 0);
+                }
+            }
+        }
+    }
+
+    /// The same on the c432 profile at dt 0.25: run with
+    /// `cargo test --release -q -p statsize --lib -- --ignored`.
+    #[test]
+    #[ignore = "slow: run in release with --ignored"]
+    fn prebounds_hold_on_a_benchmark_profile() {
+        let nl = generator::generate_iscas("c432", 17).unwrap();
+        for objective in [
+            Objective::percentile(0.5),
+            Objective::percentile(0.9),
+            Objective::percentile(0.99),
+            Objective::Mean,
+        ] {
+            assert!(check_prebounds(&nl, 0.25, objective) > 0);
         }
     }
 

@@ -159,15 +159,16 @@ fn identical_where_the_sink_aware_bound_prunes() {
     }
 }
 
-/// `Optimizer::run` reuses parked Figure-7 bounds across its sweeps;
+/// `Optimizer::run` reuses parked Figure-7 bounds across its sweeps and
+/// prunes on pre-bounds without initializing;
 /// `PrunedSelector::select_with_stats` initializes every candidate. The
 /// reusing run, a cold loop of the public selector, and brute force must
 /// walk one trajectory, gate and sensitivity bits alike, on one and two
-/// threads. Serially, reuse must not move a single candidate between
-/// pruned and completed. Returns the bounds the runs reused.
-fn assert_reuse_is_invisible(nl: &Netlist, dt: f64, steps: usize) -> usize {
+/// threads. Serially, the reusing sweep must complete no more fronts
+/// than the cold one, and every candidate must end exactly one way.
+/// Returns the bounds the runs reused.
+fn assert_reuse_is_invisible(nl: &Netlist, dt: f64, steps: usize, obj: Objective) -> usize {
     let lib = CellLibrary::synthetic_180nm();
-    let obj = Objective::percentile(0.99);
     let mut reused = 0;
     for threads in [1, 2] {
         let mut reusing = TimedCircuit::new(nl, &lib, VariationModel::paper_default(), dt);
@@ -182,7 +183,10 @@ fn assert_reuse_is_invisible(nl: &Netlist, dt: f64, steps: usize) -> usize {
         for step in 0..steps {
             let (p, stats) = pruned.select_with_stats(&cold, obj);
             let b = brute.select(&cold, obj);
-            let at = format!("{} dt {dt}, threads {threads}, step {step}", nl.name());
+            let at = format!(
+                "{} dt {dt}, {obj}, threads {threads}, step {step}",
+                nl.name()
+            );
             assert_eq!(b, p, "{at}: pruned vs brute");
             let Some(sel) = p else {
                 break;
@@ -196,11 +200,17 @@ fn assert_reuse_is_invisible(nl: &Netlist, dt: f64, steps: usize) -> usize {
                 "{at}: reusing run vs cold loop"
             );
             let warm = r.prune.expect("pruned sweeps record stats");
+            assert_eq!(
+                warm.pruned + warm.completed,
+                warm.candidates,
+                "{at}: every candidate ends exactly one way"
+            );
             if threads == 1 {
-                assert_eq!(
-                    (warm.pruned, warm.completed),
-                    (stats.pruned, stats.completed),
-                    "{at}: serial pruned/completed split"
+                assert!(
+                    warm.completed <= stats.completed,
+                    "{at}: reusing sweep completed {} fronts, cold {}",
+                    warm.completed,
+                    stats.completed
                 );
             }
             assert_eq!(stats.bounds_reused, 0, "{at}: the public sweep is cold");
@@ -217,33 +227,58 @@ fn assert_reuse_is_invisible(nl: &Netlist, dt: f64, steps: usize) -> usize {
     reused
 }
 
+/// Under the 99th percentile, and on the small cases also under the
+/// mean (keyed by the delay-only pre-bound) and the median (whose
+/// pre-bound reads the sink-aware table).
 #[test]
 fn reused_bounds_leave_trajectories_identical() {
+    let objectives = [
+        Objective::percentile(0.99),
+        Objective::Mean,
+        Objective::percentile(0.5),
+    ];
     let cases = [
-        (bench::c17(), 1.0, 8),
-        (shapes::grid("g", 4, 4), 1.0, 6),
-        (shapes::diamond("d", 4), 0.25, 4),
+        (bench::c17(), 1.0, 8, &objectives[..]),
+        (shapes::grid("g", 4, 4), 1.0, 6, &objectives[..]),
+        (shapes::diamond("d", 4), 0.25, 4, &objectives[..]),
         (
             generator::generate_iscas("c432", 11).expect("known profile"),
             2.0,
             3,
+            &objectives[..1],
         ),
     ];
     let reused: usize = cases
         .iter()
-        .map(|(nl, dt, steps)| assert_reuse_is_invisible(nl, *dt, *steps))
+        .flat_map(|(nl, dt, steps, objs)| {
+            objs.iter()
+                .map(move |&obj| assert_reuse_is_invisible(nl, *dt, *steps, obj))
+        })
         .sum();
     assert!(reused > 0, "no bound was reused");
 }
 
-/// The same on the fine-grid campaign profiles: run with
+/// The same on the fine-grid campaign profiles, and on c432 under both
+/// pre-bound kinds: run with
 /// `cargo test --release -q --test exactness -- --ignored`.
 #[test]
 #[ignore = "slow: run in release with --ignored"]
 fn reused_bounds_leave_fine_dt_profile_trajectories_identical() {
-    for name in ["c432", "c880"] {
+    let p99 = Objective::percentile(0.99);
+    for (name, objectives) in [
+        (
+            "c432",
+            &[p99, Objective::percentile(0.5), Objective::Mean][..],
+        ),
+        ("c880", &[p99][..]),
+    ] {
         let nl = generator::generate_iscas(name, 1).expect("known profile");
-        assert!(assert_reuse_is_invisible(&nl, 0.25, 3) > 0, "{name}");
+        for &obj in objectives {
+            assert!(
+                assert_reuse_is_invisible(&nl, 0.25, 3, obj) > 0,
+                "{name}, {obj}"
+            );
+        }
     }
 }
 

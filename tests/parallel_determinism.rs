@@ -24,7 +24,8 @@ fn assert_stats_invariant(stats: &PruneStats, ctx: &str) {
 /// One-worker-vs-N-worker bit-identity of `select` and `select_top_k` on
 /// one generated ISCAS profile, under the mean objective (no sink-aware
 /// bound) and two percentiles, plus the stats invariant at every thread
-/// count. The public entry points reuse no parked bound.
+/// count. The public entry points reuse no parked bound and initialize
+/// every candidate before pruning it.
 fn check_pruned_profile(name: &str, seed: u64, dt: f64, k: usize) {
     let nl = generator::generate_iscas(name, seed).unwrap();
     let lib = CellLibrary::synthetic_180nm();
@@ -58,7 +59,8 @@ fn check_pruned_profile(name: &str, seed: u64, dt: f64, k: usize) {
             assert_stats_invariant(&stats, &ctx);
             assert_eq!(stats.candidates, serial_stats.candidates, "{ctx}");
             assert_eq!(
-                stats.bounds_reused, 0,
+                (stats.bounds_reused, stats.prebound_pruned),
+                (0, 0),
                 "{ctx}: public entry points stay cold"
             );
 
@@ -68,7 +70,8 @@ fn check_pruned_profile(name: &str, seed: u64, dt: f64, k: usize) {
                 "{ctx}: select_top_k({k}) must be bit-identical"
             );
             assert_eq!(
-                stats.bounds_reused, 0,
+                (stats.bounds_reused, stats.prebound_pruned),
+                (0, 0),
                 "{ctx}: public entry points stay cold"
             );
         }
