@@ -65,25 +65,6 @@ impl Table {
         }
         out
     }
-
-    /// Renders the table as CSV.
-    pub fn to_csv(&self) -> String {
-        let mut out = String::new();
-        let esc = |s: &String| {
-            if s.contains(',') || s.contains('"') {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s.clone()
-            }
-        };
-        out.push_str(&self.header.iter().map(esc).collect::<Vec<_>>().join(","));
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.iter().map(esc).collect::<Vec<_>>().join(","));
-            out.push('\n');
-        }
-        out
-    }
 }
 
 /// A minimal JSON object builder for benchmark-baseline artefacts
@@ -189,15 +170,6 @@ mod tests {
         assert!(lines[0].contains("name"));
         assert!(!t.is_empty());
         assert_eq!(t.len(), 2);
-    }
-
-    #[test]
-    fn csv_escapes_commas() {
-        let mut t = Table::new(["a", "b"]);
-        t.row(["x,y", "z\"q"]);
-        let csv = t.to_csv();
-        assert!(csv.contains("\"x,y\""));
-        assert!(csv.contains("\"z\"\"q\""));
     }
 
     #[test]

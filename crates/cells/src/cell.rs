@@ -95,11 +95,6 @@ impl Cell {
         self.d_int
     }
 
-    /// Drive constant `K` (ps) of EQ 1.
-    pub fn drive_constant(&self) -> f64 {
-        self.k
-    }
-
     /// Total cell capacitance at unit width (fF).
     pub fn cell_cap_unit(&self) -> f64 {
         self.cell_cap_unit

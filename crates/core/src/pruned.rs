@@ -155,7 +155,8 @@
 //! and side-edge memo. A worker exits
 //! when it pops from an empty heap: every unfinished front then sits with
 //! a live worker, which pushes it back and pops again, so no worker ever
-//! waits on another. The deadline is polled once per pop.
+//! waits on another. The deadline is polled once per pop, and once per
+//! pre-bound while an optimizer sweep seeds its heap.
 //!
 //! The *returned selections are bit-identical for every thread count*,
 //! by construction rather than by luck: a candidate is only ever pruned
@@ -792,9 +793,11 @@ impl PrunedSelector {
 
     /// Sets a cooperative [`Deadline`] for the sweep (default: none).
     /// The deadline is polled once per heap pop, on every thread count,
-    /// so an expired deadline surfaces within one unit of work: one
-    /// initialization, one prune or one propagated level. Use the `try_*` entry
-    /// points with a deadline set; the infallible ones panic on expiry.
+    /// and in an optimizer sweep once per pre-bound while the heap is
+    /// seeded, so an expired deadline surfaces within one unit of work:
+    /// one pre-bound, one initialization, one prune or one propagated
+    /// level. Use the `try_*` entry points with a deadline set; the
+    /// infallible ones panic on expiry.
     #[must_use]
     pub fn with_deadline(mut self, deadline: Deadline) -> Self {
         self.deadline = deadline;
@@ -974,6 +977,7 @@ impl PrunedSelector {
                 }
                 None => HeapEntry {
                     key: if parking {
+                        self.deadline.check()?;
                         self.prebound(circuit, gate, sink_bound.as_ref())
                     } else {
                         f64::INFINITY
@@ -2014,7 +2018,10 @@ mod tests {
 
     /// A deadline can expire mid-sweep without leaving a worker waiting:
     /// at every budget and thread count the sweep returns either
-    /// `DeadlineExceeded` or exactly the unlimited selection.
+    /// `DeadlineExceeded` or exactly the unlimited selection. So does the
+    /// optimizer's reusing sweep on a fresh circuit, and the bounds it
+    /// parked, expired or not, leave the next unlimited reusing sweep on
+    /// that circuit exact.
     #[test]
     fn deadline_expiring_mid_sweep_hangs_no_worker() {
         let lib = CellLibrary::synthetic_180nm();
@@ -2040,6 +2047,20 @@ mod tests {
                             assert_eq!(stats.pruned + stats.completed, stats.candidates, "{at}");
                         }
                     }
+                    let mut fresh =
+                        TimedCircuit::new(&nl, &lib, VariationModel::paper_default(), 2.0);
+                    match sel.try_select_top_k_reusing(&mut fresh, obj, 2) {
+                        Err(DeadlineExceeded) => {}
+                        Ok((got, stats)) => {
+                            assert_eq!(got, want, "{at}, reusing");
+                            assert_eq!(stats.pruned + stats.completed, stats.candidates, "{at}");
+                        }
+                    }
+                    let (got, _) = PrunedSelector::new(1.0)
+                        .with_threads(threads)
+                        .try_select_top_k_reusing(&mut fresh, obj, 2)
+                        .expect("no deadline");
+                    assert_eq!(got, want, "{at}, unlimited reusing after it");
                 }
             }
         }

@@ -452,84 +452,6 @@ impl Dist {
         }
     }
 
-    /// The minimum of two *independent* lattice variables: the survival
-    /// product, the dual of [`max_independent`](Dist::max_independent)
-    /// used by backward required-time propagation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lattice steps differ.
-    pub fn min_independent(&self, other: &Dist) -> Dist {
-        self.min_independent_into(other, &mut DistScratch::new())
-    }
-
-    /// [`min_independent`](Dist::min_independent) writing into a buffer
-    /// recycled from `scratch` — bit-identical results, no allocation
-    /// when the pool has capacity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lattice steps differ.
-    pub fn min_independent_into(&self, other: &Dist, scratch: &mut DistScratch) -> Dist {
-        self.assert_same_lattice(other);
-        let mut out = scratch.take();
-        let lo = self.offset.min(other.offset);
-        let hi = (self.offset + self.mass.len() as i64 - 1)
-            .min(other.offset + other.mass.len() as i64 - 1);
-        out.reserve((hi - lo + 1) as usize);
-        let mut sa = 1.0; // S(lo − 1) = 1: lo is below both supports
-        let mut sb = 1.0;
-        let mut prev = 1.0;
-        for k in lo..=hi {
-            sa -= mass_at(self.offset, &self.mass, k);
-            sb -= mass_at(other.offset, &other.mass, k);
-            let cur = (sa * sb).max(0.0);
-            out.push((prev - cur).max(0.0));
-            prev = cur;
-        }
-        Dist::from_raw(self.dt, lo, out)
-    }
-
-    /// The difference `self − other` of two independent lattice variables
-    /// (convolution with the reflection of `other`), e.g. statistical
-    /// slack `required − arrival`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lattice steps differ.
-    pub fn subtract_independent(&self, other: &Dist) -> Dist {
-        self.subtract_into(other, &mut DistScratch::new())
-    }
-
-    /// [`subtract_independent`](Dist::subtract_independent) writing into
-    /// buffers recycled from `scratch` (one for the reflection, one for
-    /// the result) — bit-identical results, no allocation when the pool
-    /// has capacity.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lattice steps differ.
-    pub fn subtract_into(&self, other: &Dist, scratch: &mut DistScratch) -> Dist {
-        self.assert_same_lattice(other);
-        let mut reflected = scratch.take();
-        reflected.extend(other.mass.iter().rev());
-        let mut out = scratch.take();
-        let lo = kernel::convolve_normalized(
-            KernelBackend::active(),
-            &self.mass,
-            &reflected,
-            &mut out,
-            scratch,
-        );
-        scratch.put(reflected);
-        let offset = self.offset - (other.offset + other.mass.len() as i64 - 1);
-        Dist {
-            dt: self.dt,
-            offset: offset + lo as i64,
-            mass: out,
-        }
-    }
-
     /// The distribution translated by a whole number of lattice bins
     /// (positive = later). Exact: only the offset changes.
     pub fn shift_bins(&self, bins: i64) -> Dist {
@@ -708,14 +630,6 @@ fn max_normalized(a_off: i64, a: &[f64], b_off: i64, b: &[f64], out: &mut Vec<f6
     lo + fold.finish(out) as i64
 }
 
-/// Mass of `(off, mass)` at absolute bin `k` (zero outside the support).
-fn mass_at(off: i64, mass: &[f64], k: i64) -> f64 {
-    if k < off {
-        return 0.0;
-    }
-    mass.get((k - off) as usize).copied().unwrap_or(0.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -881,6 +795,14 @@ mod tests {
         out
     }
 
+    /// Mass of `(off, mass)` at absolute bin `k` (zero outside the support).
+    fn mass_at(off: i64, mass: &[f64], k: i64) -> f64 {
+        if k < off {
+            return 0.0;
+        }
+        mass.get((k - off) as usize).copied().unwrap_or(0.0)
+    }
+
     /// The raw independent max, unnormalized: the naive per-bin loop
     /// over the union support from the later start.
     fn max_reference(a: &Dist, b: &Dist) -> (i64, Vec<f64>) {
@@ -917,8 +839,7 @@ mod tests {
 
     /// Every operator of `a` and `b` against the two-pass reference, bit
     /// for bit: `convolve_into`, `convolve_dense` on every available
-    /// backend, `max_independent_into`, `convolve_max_into`,
-    /// `subtract_into`.
+    /// backend, `max_independent_into`, `convolve_max_into`.
     fn assert_ops_match_two_pass(a: &Dist, b: &Dist, scratch: &mut DistScratch) {
         let dt = a.dt;
         let conv = |x: &Dist, y: &Dist| {
@@ -947,13 +868,6 @@ mod tests {
         let want = dist_of(normalize_two_pass(raw, lo), dt);
         let got = a.convolve_max_into(&upstream, delay, scratch);
         assert_bits(&got, &want, "convolve_max_into");
-        let reflected: Vec<f64> = b.mass.iter().rev().copied().collect();
-        let offset = a.offset - (b.offset + b.mass.len() as i64 - 1);
-        let want = dist_of(
-            normalize_two_pass(convolve_reference(&a.mass, &reflected), offset),
-            dt,
-        );
-        assert_bits(&a.subtract_into(b, scratch), &want, "subtract_into");
     }
 
     /// A mass vector from body weights in `(0, 1]` (a weight of 0 is an
@@ -1094,29 +1008,6 @@ mod tests {
             let want = a.cdf_at(x) * b.cdf_at(x);
             assert!((m.cdf_at(x) - want).abs() < 1e-12, "k={k}");
         }
-    }
-
-    #[test]
-    fn min_is_dual_of_max_under_negation() {
-        let a = uniform(1.0, 2, 5);
-        let b = uniform(1.0, 4, 3);
-        let min = a.min_independent(&b);
-        // min(X, Y) = −max(−X, −Y).
-        let neg = |d: &Dist| Dist::point(d.dt(), 0.0).subtract_independent(d);
-        let other = neg(&neg(&a).max_independent(&neg(&b)));
-        assert_eq!(min.offset(), other.offset());
-        for (x, y) in min.mass().iter().zip(other.mass()) {
-            assert!((x - y).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn subtract_of_points_is_point_difference() {
-        let a = Dist::point(1.0, 10.0);
-        let b = Dist::point(1.0, 4.0);
-        let d = a.subtract_independent(&b);
-        assert_eq!(d.support_len(), 1);
-        assert_eq!(d.mean(), 6.0);
     }
 
     #[test]

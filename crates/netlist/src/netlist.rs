@@ -35,11 +35,6 @@ impl Net {
     pub fn is_primary_output(&self) -> bool {
         self.is_output
     }
-
-    /// True if the net is a primary input (has no driving gate).
-    pub fn is_primary_input(&self) -> bool {
-        self.driver.is_none()
-    }
 }
 
 /// A gate instance: a logic function, input nets, and one output net.

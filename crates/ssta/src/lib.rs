@@ -60,7 +60,6 @@ mod monte_carlo;
 mod node;
 pub mod paths;
 mod propagate;
-mod slack;
 mod sta;
 
 pub use analysis::{SstaAnalysis, SstaUndo};
@@ -70,7 +69,6 @@ pub use hash::{NodeHasher, NodeMap, NodeSet};
 pub use monte_carlo::{MonteCarlo, SamplingMode};
 pub use node::TimingNode;
 pub use propagate::{ConeWalk, DelayOverrides, EdgeConvMemo, StepReport};
-pub use slack::SlackAnalysis;
 pub use sta::{run_sta, run_sta_with, StaResult};
 
 // Compile-time thread-safety audit. The parallel selector sweeps in

@@ -80,18 +80,6 @@ impl StaResult {
         self.arrival(TimingNode::SINK)
     }
 
-    /// The critical path as a node sequence from source to sink.
-    pub fn critical_path(&self) -> Vec<TimingNode> {
-        let mut path = vec![TimingNode::SINK];
-        let mut cur = TimingNode::SINK;
-        while let Some((pred, _)) = self.critical_pred[cur.index()] {
-            path.push(pred);
-            cur = pred;
-        }
-        path.reverse();
-        path
-    }
-
     /// The gates whose arcs lie on the critical path, in source→sink
     /// order. These are the only sizing candidates the deterministic
     /// optimizer considers (Section 3.1 of the paper).
@@ -113,7 +101,7 @@ impl StaResult {
 mod tests {
     use super::*;
     use statsize_cells::{CellLibrary, DelayModel, GateSizes, VariationModel};
-    use statsize_netlist::{bench, shapes, Netlist};
+    use statsize_netlist::{shapes, Netlist};
 
     fn sta_of(nl: &Netlist) -> (TimingGraph, ArcDelays, StaResult) {
         let lib = CellLibrary::synthetic_180nm();
@@ -132,19 +120,6 @@ mod tests {
         let (_, delays, sta) = sta_of(&nl);
         let expected: f64 = nl.gate_ids().map(|g| delays.nominal(g)).sum();
         assert!((sta.circuit_delay() - expected).abs() < 1e-9);
-    }
-
-    #[test]
-    fn critical_path_spans_source_to_sink() {
-        let nl = bench::c17();
-        let (graph, _, sta) = sta_of(&nl);
-        let path = sta.critical_path();
-        assert_eq!(path.first(), Some(&TimingNode::SOURCE));
-        assert_eq!(path.last(), Some(&TimingNode::SINK));
-        // Levels strictly increase along the path.
-        for pair in path.windows(2) {
-            assert!(graph.level(pair[0]) < graph.level(pair[1]));
-        }
     }
 
     #[test]

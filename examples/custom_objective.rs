@@ -7,7 +7,7 @@
 //! pruned selector; the others fall back to brute force.
 //!
 //! ```text
-//! cargo run --release -p statsize --example custom_objective
+//! cargo run --release --example custom_objective
 //! ```
 
 use statsize::{Objective, Optimizer, SelectorKind, TimedCircuit};

@@ -7,7 +7,7 @@
 //! sampling model) while always remaining conservative.
 //!
 //! ```text
-//! cargo run --release -p statsize --example monte_carlo_validation
+//! cargo run --release --example monte_carlo_validation
 //! ```
 
 use statsize_cells::{CellLibrary, DelayModel, GateSizes, VariationModel};

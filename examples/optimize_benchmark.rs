@@ -4,7 +4,7 @@
 //! Table 1).
 //!
 //! ```text
-//! cargo run --release -p statsize --example optimize_benchmark [c432] [iters]
+//! cargo run --release --example optimize_benchmark [c432] [iters]
 //! ```
 
 use statsize::{Objective, Optimizer, SelectorKind, TimedCircuit};

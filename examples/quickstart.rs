@@ -5,7 +5,7 @@
 //! CDF, and the sensitivity is the change of its 99-percentile point.
 //!
 //! ```text
-//! cargo run --release -p statsize --example quickstart
+//! cargo run --release --example quickstart
 //! ```
 
 use statsize::{Objective, PrunedSelector, TimedCircuit};

@@ -1,19 +1,18 @@
-//! A statistical timing report: required times, slack distributions, and
-//! Monte-Carlo gate criticality — the companion queries a timing engine
-//! offers around the optimizer.
+//! A statistical timing report: the SSTA circuit-delay percentile and
+//! Monte-Carlo gate criticality, before and after deterministic sizing.
 //!
 //! Shows how optimization changes the *criticality profile*: before
 //! sizing, criticality concentrates on a few long paths; after
 //! deterministic sizing it smears across the wall.
 //!
 //! ```text
-//! cargo run --release -p statsize --example timing_report
+//! cargo run --release --example timing_report
 //! ```
 
 use statsize::{Objective, Optimizer, SelectorKind, TimedCircuit};
 use statsize_cells::{CellLibrary, VariationModel};
 use statsize_netlist::generator;
-use statsize_ssta::{MonteCarlo, SamplingMode, SlackAnalysis, TimingNode};
+use statsize_ssta::{MonteCarlo, SamplingMode};
 
 fn criticality_spread(crit: &[f64]) -> (usize, f64) {
     // How many gates carry >5% criticality, and the entropy-like mass of
@@ -31,32 +30,7 @@ fn main() {
 
     // --- Report at minimum sizes. ---
     let t99 = circuit.ssta().circuit_delay_percentile(0.99);
-    let target = 1.02 * t99; // a 2% guard-banded clock target
-    println!(
-        "c880 at minimum sizes: T(99%) = {:.3} ns, clock target {:.3} ns\n",
-        t99 / 1000.0,
-        target / 1000.0
-    );
-
-    let slack = SlackAnalysis::run(circuit.graph(), circuit.delays(), target);
-    println!("most critical gates (by mean statistical slack at their output):");
-    println!(
-        "  {:>6}  {:>12}  {:>12}  {:>10}",
-        "gate", "slack (ps)", "σ(slack)", "P(viol.)"
-    );
-    for (gate, mean_slack) in slack.critical_gates(circuit.graph(), circuit.ssta(), 5) {
-        let node = circuit.graph().out_node_of_gate(gate);
-        let dist = slack.slack(circuit.ssta(), node);
-        println!(
-            "  {:>6}  {:>12.1}  {:>12.1}  {:>10.4}",
-            netlist.net(netlist.gate(gate).output()).name(),
-            mean_slack,
-            dist.std_dev(),
-            slack.violation_probability(circuit.ssta(), node),
-        );
-    }
-    let p_viol = slack.violation_probability(circuit.ssta(), TimingNode::SOURCE);
-    println!("  circuit-level violation probability: {p_viol:.4}");
+    println!("c880 at minimum sizes: T(99%) = {:.3} ns", t99 / 1000.0);
 
     // --- Criticality before and after deterministic optimization. ---
     let mc = MonteCarlo::new(4_000, 7, SamplingMode::PerGate);

@@ -9,7 +9,7 @@
 //! faster at equal nominal delay.
 //!
 //! ```text
-//! cargo run --release -p statsize --example wall_vs_balanced
+//! cargo run --release --example wall_vs_balanced
 //! ```
 
 use statsize_cells::{CellLibrary, DelayModel, GateSizes, VariationModel};
