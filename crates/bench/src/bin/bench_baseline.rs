@@ -19,6 +19,10 @@
 //! `--quick`), a six-iteration serial gen1200 descent
 //! (`optimizer_run/gen1200/i6`, followed by its per-iteration nodes
 //! computed, bounds reused and candidates pruned on their pre-bound),
+//! the campaign benchmark's warm c1355 job under the mean at dt = 0.25
+//! (`optimizer_run/c1355/mean_warm`, followed by its per-iteration nodes
+//! computed, fronts completed, and candidates pruned on the sink-aware
+//! bound and on their pre-bound),
 //! 3-circuit sharded campaigns (`campaign/*`), result-store campaign
 //! paths (`campaign_store/*`: cold vs cache-replayed vs warm-started
 //! delta run), and serve-mode query latency (`service_query/*`: cold
@@ -476,6 +480,47 @@ fn main() {
             "",
             column(|s| s.nodes_computed),
             column(|s| s.bounds_reused),
+            column(|s| s.prebound_pruned),
+        );
+    }
+
+    // The campaign benchmark's warm job that the sink-aware bound for
+    // the mean prunes most: c1355 at dt = 0.25, two serial `Optimizer::run`
+    // iterations under the mean from the sizes of a two-step 99th-percentile
+    // descent (including building the timing state at those sizes),
+    // followed by the per-iteration work counters.
+    {
+        let nl = suite::build_circuit("c1355", 1);
+        let lib = CellLibrary::synthetic_180nm();
+        let timed = || TimedCircuit::new(&nl, &lib, VariationModel::paper_default(), 0.25);
+        let mut sized = timed();
+        Optimizer::new(Objective::percentile(0.99), SelectorKind::Pruned)
+            .with_threads(1)
+            .with_max_iterations(2)
+            .run(&mut sized);
+        let optimizer = Optimizer::new(Objective::Mean, SelectorKind::Pruned)
+            .with_threads(1)
+            .with_max_iterations(2)
+            .with_initial_sizes(sized.sizes().widths().to_vec());
+        let descend = || optimizer.run(&mut timed());
+        record(
+            "optimizer_run/c1355/mean_warm".to_string(),
+            measure(effort, || {
+                black_box(descend());
+            }),
+        );
+        let sweeps: Vec<PruneStats> = descend()
+            .iterations
+            .iter()
+            .filter_map(|r| r.prune)
+            .collect();
+        let column = |f: fn(&PruneStats) -> usize| sweeps.iter().map(f).collect::<Vec<_>>();
+        println!(
+            "{:<28} nodes {:?}  completed {:?}  sink_pruned {:?}  prebound_pruned {:?}",
+            "",
+            column(|s| s.nodes_computed),
+            column(|s| s.completed),
+            column(|s| s.sink_pruned),
             column(|s| s.prebound_pruned),
         );
     }

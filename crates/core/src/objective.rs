@@ -22,6 +22,15 @@ pub enum Objective {
     ///
     /// Shift-bounded: the mean is the integral of `T(A, p)` over `p`, so
     /// its improvement is the average of `δ(p)` and cannot exceed `Δ`.
+    /// The pruned selector also bounds it at the sink, as it does a
+    /// percentile: with every arrival bin at least 0, the mean is `dt`
+    /// times the sum over bins `z ≥ 0` of the mass above `z`, and the
+    /// perturbed sink's step CDF is at most the product `P(z)` of the
+    /// outputs' CDFs, each shifted by its own Theorem-4 bound, plus a
+    /// tolerance `tol` of about `1e-8` per output. So the perturbed mean
+    /// is at least `dt · Σ_{z≥0} max(0, 1 − η − tol − P(z))`, with `η =
+    /// 1e-11` of mass dust; optimizer sweeps read it for a pre-bound at
+    /// the candidate's first pop.
     Mean,
     /// `mean + k·σ` of the circuit delay.
     ///

@@ -59,15 +59,20 @@
 //!   measuring every node would (on the benchmark workloads every work
 //!   counter matches).
 //! * **A sink-aware bound where a front would advance** ([`SinkBound`],
-//!   percentile objectives `T(·, p)` with `p` in the body window below).
-//!   The sink is the independent max of the primary outputs, so its step
-//!   CDF is the product of theirs. Theorem 4 with one output `j` as the
-//!   sink bounds `j`'s shift by `k_j`, the largest whole-bin `Δ` among
-//!   the front nodes that reach `j` (0 if none does), so the perturbed
-//!   sink's CDF is at most `Π_j F_j(z + k_j)` up to a stated dust, and
-//!   its `p`-percentile is at least where that product crosses `p`. A
-//!   perturbation that reaches a few of many outputs barely moves the
-//!   product, while `Smx` charges it its whole `Δ`. The bound is read
+//!   for percentile objectives `T(·, p)` with `p` in the body window
+//!   below, and for the mean). The sink is the independent max of the
+//!   primary outputs, so its step CDF is the product of theirs. Theorem 4
+//!   with one output `j` as the sink bounds `j`'s shift by `k_j`, the
+//!   largest whole-bin `Δ` among the front nodes that reach `j` (0 if
+//!   none does), so the perturbed sink's CDF is at most
+//!   `P(z) = Π_j F_j(z + k_j)` up to a stated dust `tol`. Its
+//!   `p`-percentile is therefore at least where `P` crosses `p − tol`.
+//!   Its mean is at least `dt · Σ_{z≥0} max(0, 1 − η − tol − P(z))`,
+//!   which rests on every arrival bin being at least 0 (inputs arrive at
+//!   0 and no delay is negative; the table asserts it on the outputs) and
+//!   on the sink's mass reaching `1 − η`. A perturbation that reaches a
+//!   few of many outputs barely moves the product, while `Smx` charges
+//!   it its whole `Δ`. The bound is read
 //!   only where the sweep would otherwise advance a front, after its
 //!   bounds were tightened for the pop; when only the front's inherited
 //!   bounds keep it at the cut, those are measured and the bound read
@@ -83,9 +88,12 @@
 //!   `SINK_TOL_PER_OUTPUT` times the number of sink in-edges. A unit
 //!   test checks the bound against the exact sensitivity at every level
 //!   of every candidate's walk to the sink, at p 0.5, 0.9 and 0.99 and
-//!   dt 1 and 0.25. On the 6-iteration gen1200 descent it cut the fronts
-//!   completed from 267 to 25 and the nodes computed from 176,205 to
-//!   98,195.
+//!   dt 1 and 0.25, and under the mean, where another test holds the
+//!   mean reading's shortcuts to the bin-by-bin sum that defines it. On
+//!   the 6-iteration gen1200 descent it cut the fronts completed from 267
+//!   to 25 and the nodes computed from 176,205 to 98,195; on the
+//!   campaign benchmark's warm c1355 job (two sweeps under the mean at
+//!   dt 0.25) from 18 to 7.
 //! * **A pre-bound before initialization, in the optimizer.** Theorems
 //!   1–3 bound a front before any walk: a trial resize perturbs only the
 //!   outputs of the candidate and its drivers and their fan-out, and
@@ -93,12 +101,16 @@
 //!   behind it do (`lattice_shift_bound` of each trial delay against
 //!   the current one; see `prebound_front`). The sweeps of
 //!   [`Optimizer::step`](crate::Optimizer::step) key each candidate they
-//!   must initialize by that bound over `Δw`, lowered for percentile
-//!   objectives to the [`SinkBound`] reading of the same nodes, and pop
-//!   it best-first like any other entry: one whose key falls below the
+//!   must initialize by that bound over `Δw` and pop it best-first like
+//!   any other entry. Where the objective has a [`SinkBound`], its
+//!   reading of the same nodes is taken only when the entry first pops
+//!   at or above the cut, never while the heap is seeded: most entries
+//!   are pruned on the delay-only key before they reach the top. One
+//!   whose key, or whose key lowered to that reading, falls below the
 //!   cut is pruned with no walk at all (`PruneStats::prebound_pruned`)
-//!   and parks nothing; any other is initialized and goes back keyed by
-//!   `Smx`. With one worker a key below the final cut pops only after
+//!   and parks nothing; a read entry goes back keyed by the lower of the
+//!   two, and an entry popped again is initialized and goes back keyed
+//!   by `Smx`. With one worker a key below the final cut pops only after
 //!   every top-k front has completed, so it is always pruned. The
 //!   public `select*` entry points key every uninitialized candidate
 //!   `+∞`, so there every candidate initializes first, in gate order,
@@ -142,8 +154,10 @@
 //! public one (ties to the lower gate index). A worker pops the top
 //! entry, notes the threshold and the next key, and does one unit of
 //! work outside the lock. It prunes an uninitialized entry whose key is
-//! below the threshold, and initializes any other (Figure 7) and pushes
-//! it back keyed by the fresh bound. A front it prunes, pushes
+//! below the threshold. Any other it either reads (a delay-only
+//! pre-bound with a sink-aware reading still to take: pushed back keyed
+//! by the lower of the two, or pruned) or initializes (Figure 7) and
+//! pushes back keyed by the fresh bound. A front it prunes, pushes
 //! back when its tightened bound falls behind the next key, or advances
 //! one level and pushes back unless it completed; a rebuilt walk waits
 //! in a slot keyed by gate index, for any worker. With one worker a
@@ -237,13 +251,14 @@ pub struct PruneStats {
     /// thread count: it depends only on the commit history and on each
     /// earlier sweep's final cut.
     pub bounds_reused: usize,
-    /// Fronts pruned by the sink-aware bound (percentile objectives) at a
-    /// point where the front bound alone would have advanced them; they
-    /// also count in `pruned`.
+    /// Fronts pruned by the sink-aware bound (percentile objectives and
+    /// the mean) at a point where the front bound alone would have
+    /// advanced them; they also count in `pruned`.
     pub sink_pruned: usize,
-    /// Candidates an optimizer sweep pruned on their pre-bound, without
-    /// initializing them; they also count in `pruned`. Always 0 on the
-    /// public entry points.
+    /// Candidates an optimizer sweep pruned on their pre-bound, its
+    /// delay-only key or that key lowered to its sink-aware reading,
+    /// without initializing them; they also count in `pruned`. Always 0
+    /// on the public entry points.
     pub prebound_pruned: usize,
 }
 
@@ -315,6 +330,20 @@ const PRUNE_SLACK: f64 = 1e-6;
 /// times the number of sink in-edges.
 const SINK_TOL_PER_OUTPUT: f64 = 1e-8 + 1e-10 + 1e-11;
 
+/// `η`, the mass dust of the sink fold that the mean reading of
+/// [`SinkBound`] allows for: the perturbed sink's masses sum to 1 up to
+/// the rounding of the fold's last normalizing pass, under `1e-12` over
+/// a few thousand bins, so at least `1 − η` of mass lies above any bin
+/// its step CDF has not yet counted.
+const SINK_MASS_DUST: f64 = 1e-11;
+
+/// A partial product of output CDFs below this stands in for the whole
+/// product in the mean reading of [`SinkBound`]: every further factor
+/// is at most 1, so the partial product only overstates `P(z)`, which
+/// lowers a term of the sum and so loosens the bound, by under this
+/// much per bin.
+const MEAN_PRODUCT_FLOOR: f64 = 1e-15;
+
 /// The probability levels on which the front bounds are guaranteed (see
 /// the module's soundness note); the sink-aware bound serves percentile
 /// objectives whose level lies inside.
@@ -358,31 +387,47 @@ impl StepCdf {
     }
 }
 
-/// The sink-aware upper bound on a front's exact sensitivity, for a
-/// percentile objective `T(·, p)`: Theorem 4 applied per primary output.
+/// The sink-aware upper bound on a front's exact sensitivity: Theorem 4
+/// applied per primary output, for a percentile objective `T(·, p)` or
+/// the mean.
 ///
 /// The sink is the independent max of its in-edges, the primary outputs
 /// `j`, so its step CDF is the product `Π_j F_j` (up to trim dust). With
 /// `j` as the sink, Theorem 4 bounds output `j`'s shift by
 /// `k_j = max(0, largest Δ among the front nodes that reach j)`: the
 /// perturbed CDF satisfies `F′_j(z) ≤ F_j(z + k_j)`. So the perturbed
-/// sink's step CDF is at most `H(z) = Π_j F_j(z + k_j) + tol` at every
-/// bin (tolerance: [`SINK_TOL_PER_OUTPUT`] per in-edge). Its
-/// interpolated CDF, which [`Dist::percentile`] inverts, interpolates
-/// those step values linearly, so it stays below the same interpolation
-/// of `H`. Its `p`-percentile is therefore at least where that
-/// interpolation crosses `p`: inside the first bin `z` with `H(z) ≥ p`,
-/// at `(z − ½ + f)·dt` for the fraction `f ∈ [0, 1)` of the rise from
-/// `H(z − 1)` to `H(z)` that reaches `p`. The bound is `base_cost` less
-/// that point, over `Δw`. A perturbation that reaches a few of many
-/// outputs barely moves the product, so this is far tighter than the
-/// front bound `Smx` on fronts about to reach the sink.
+/// sink's step CDF is at most `P(z) + tol`, with `P(z) = Π_j F_j(z + k_j)`,
+/// at every bin (tolerance: [`SINK_TOL_PER_OUTPUT`] per in-edge). The
+/// two objectives read that premise differently:
+///
+/// * **Percentile.** The perturbed sink's interpolated CDF, which
+///   [`Dist::percentile`] inverts, interpolates those step values
+///   linearly, so it stays below the same interpolation of `P + tol`.
+///   Its `p`-percentile is therefore at least where that interpolation
+///   crosses `p`: inside the first bin `z` with `P(z) ≥ p − tol`, at
+///   `(z − ½ + f)·dt` for the fraction `f ∈ [0, 1)` of the rise from
+///   `P(z − 1)` to `P(z)` that reaches `p − tol`.
+/// * **Mean.** Every arrival bin is at least 0: inputs arrive at 0 and
+///   every delay, base or trial, lies at or above `μ(1 − σ_frac·k)` for
+///   a `±kσ` truncation, which the table requires to be at least 0 (and
+///   asserts on the base outputs). So [`Dist::mean`] is `dt` times the
+///   sum over bins `z ≥ 0` of the mass above `z`, at least
+///   `1 − η − F′(z)` of it ([`SINK_MASS_DUST`]), and the perturbed mean
+///   is at least `dt · Σ_{z≥0} max(0, 1 − η − tol − P(z))`. Below
+///   `max_j(offset_j − k_j)` some factor is 0, so that stretch sums in
+///   closed form; `P` never falls as `z` grows, so the sum stops at the
+///   first bin where `P` reaches `1 − η − tol`. A partial product under
+///   [`MEAN_PRODUCT_FLOOR`] stands in for `P`, which only lowers a term.
+///
+/// The bound is `base_cost` less that point or that mean, over `Δw`. A
+/// perturbation that reaches a few of many outputs barely moves the
+/// product, so this is far tighter than the front bound `Smx` on fronts
+/// about to reach the sink.
 ///
 /// Built once per sweep over one immutable circuit borrow; every front
 /// of the sweep reads it.
 struct SinkBound {
-    /// `p − tol`.
-    target: f64,
+    reading: Reading,
     base_cost: f64,
     dt: f64,
     delta_w: f64,
@@ -392,28 +437,49 @@ struct SinkBound {
     reach: Vec<u64>,
     /// Per sink in-edge, its output's base step CDF.
     cdfs: Vec<StepCdf>,
-    /// The first bin where the unperturbed product reaches `target`.
-    z_base: i64,
+}
+
+/// What [`SinkBound`] reads off the shifted product `P`.
+#[derive(Clone, Copy)]
+enum Reading {
+    /// `T(·, p)`: where `P` crosses `target = p − tol`, searched below
+    /// `z_base`, the first bin where the unshifted product reaches it.
+    Percentile { target: f64, z_base: i64 },
+    /// The mean: the sum of `level − P(z)` over the bins `z ≥ 0` where
+    /// `P` stays below `level = 1 − η − tol`.
+    Mean { level: f64 },
 }
 
 impl SinkBound {
     /// The tables for `objective` on `circuit`, or `None` unless the
-    /// objective is a percentile inside [`BODY_WINDOW`].
+    /// objective is a percentile inside [`BODY_WINDOW`] or the mean on
+    /// a variation model whose delays are never negative.
     fn new(circuit: &TimedCircuit<'_>, objective: Objective, delta_w: f64) -> Option<Self> {
-        let Objective::Percentile(p) = objective else {
-            return None;
-        };
         let graph = circuit.graph();
         let tails: Vec<TimingNode> = graph
             .in_edges(TimingNode::SINK)
             .iter()
             .map(|e| e.from)
             .collect();
-        let target = p - SINK_TOL_PER_OUTPUT * tails.len() as f64;
-        if !(BODY_WINDOW.0..=BODY_WINDOW.1).contains(&p) || target <= 0.0 {
-            return None;
-        }
-        let (words, reach) = reach_table(graph, &tails);
+        let tol = SINK_TOL_PER_OUTPUT * tails.len() as f64;
+        let level = 1.0 - SINK_MASS_DUST - tol;
+        let variation = circuit.variation();
+        let reading = match objective {
+            Objective::Percentile(p)
+                if (BODY_WINDOW.0..=BODY_WINDOW.1).contains(&p) && p - tol > 0.0 =>
+            {
+                Reading::Percentile {
+                    target: p - tol,
+                    z_base: 0,
+                }
+            }
+            Objective::Mean
+                if variation.sigma_frac() * variation.trunc_sigmas() <= 1.0 && level > 0.0 =>
+            {
+                Reading::Mean { level }
+            }
+            _ => return None,
+        };
         let cdfs: Vec<StepCdf> = tails
             .iter()
             .map(|&t| StepCdf::new(circuit.ssta().arrival(t)))
@@ -422,17 +488,26 @@ impl SinkBound {
         // on every factor is 1.
         let lo = cdfs.iter().map(|c| c.offset).max()? - 1;
         let hi = cdfs.iter().map(StepCdf::end).max()?;
+        if let Reading::Mean { .. } = reading {
+            assert!(
+                cdfs.iter().all(|c| c.offset >= 0),
+                "the mean reading needs every arrival bin at least 0"
+            );
+        }
+        let (words, reach) = reach_table(graph, &tails);
         let mut table = Self {
-            target,
+            reading,
             base_cost: circuit.objective_value(objective),
             dt: circuit.dt(),
             delta_w,
             words,
             reach,
             cdfs,
-            z_base: 0,
         };
-        table.z_base = table.first_reaching(lo, hi, &vec![0; table.cdfs.len()]);
+        if let Reading::Percentile { target, .. } = table.reading {
+            let z_base = table.first_reaching(target, lo, hi, &vec![0; table.cdfs.len()]);
+            table.reading = Reading::Percentile { target, z_base };
+        }
         Some(table)
     }
 
@@ -444,25 +519,26 @@ impl SinkBound {
             .fold(1.0, |acc, (cdf, &k)| acc * cdf.at(z + k))
     }
 
-    /// Whether `Π_j F_j(z + ks[j]) ≥ target`.
-    fn reaches(&self, z: i64, ks: &[i64]) -> bool {
+    /// `Π_j F_j(z + ks[j])`, or a partial product of it once that falls
+    /// below `floor`: every factor is at most 1, so the product only
+    /// falls, and the result is under `floor` exactly when the product is.
+    fn product_above(&self, z: i64, ks: &[i64], floor: f64) -> f64 {
         let mut product = 1.0;
         for (cdf, &k) in self.cdfs.iter().zip(ks) {
             product *= cdf.at(z + k);
-            // Every factor is at most 1: the product only falls.
-            if product < self.target {
-                return false;
+            if product < floor {
+                break;
             }
         }
-        true
+        product
     }
 
-    /// The first bin in `(lo, hi]` where the shifted product reaches the
-    /// target, given that it does not at `lo` and does at `hi`.
-    fn first_reaching(&self, mut lo: i64, mut hi: i64, ks: &[i64]) -> i64 {
+    /// The first bin in `(lo, hi]` where the shifted product reaches
+    /// `target`, given that it does not at `lo` and does at `hi`.
+    fn first_reaching(&self, target: f64, mut lo: i64, mut hi: i64, ks: &[i64]) -> i64 {
         while hi - lo > 1 {
             let mid = lo + (hi - lo) / 2;
-            if self.reaches(mid, ks) {
+            if self.product_above(mid, ks, target) >= target {
                 hi = mid;
             } else {
                 lo = mid;
@@ -504,16 +580,47 @@ impl SinkBound {
                 }
             }
         }
-        // Shifting every factor by at most `k_max` bins moves the first
-        // reaching bin down by at most that much: `Π F_j(z + k_j) ≤
-        // Π F_j(z + k_max)`, which misses the target below `z_base − k_max`.
-        let z = self.first_reaching(self.z_base - k_max - 1, self.z_base, &ks);
-        // Read the percentile off the interpolated bounding CDF, as
-        // `Dist::percentile` reads it off the sink's: it crosses the
-        // target inside bin `z`.
-        let (below, at) = (self.product(z - 1, &ks), self.product(z, &ks));
-        let frac = ((self.target - below) / (at - below)).clamp(0.0, 1.0);
-        (self.base_cost - (z as f64 - 0.5 + frac) * self.dt) / self.delta_w
+        let point = match self.reading {
+            Reading::Percentile { target, z_base } => {
+                // Shifting every factor by at most `k_max` bins moves the
+                // first reaching bin down by at most that much: `Π F_j(z +
+                // k_j) ≤ Π F_j(z + k_max)`, which misses the target below
+                // `z_base − k_max`.
+                let z = self.first_reaching(target, z_base - k_max - 1, z_base, &ks);
+                // Read the percentile off the interpolated bounding CDF,
+                // as `Dist::percentile` reads it off the sink's: it
+                // crosses the target inside bin `z`.
+                let (below, at) = (self.product(z - 1, &ks), self.product(z, &ks));
+                let frac = ((target - below) / (at - below)).clamp(0.0, 1.0);
+                (z as f64 - 0.5 + frac) * self.dt
+            }
+            Reading::Mean { level } => self.mean_lower_bound(level, &ks) * self.dt,
+        };
+        (self.base_cost - point) / self.delta_w
+    }
+
+    /// `Σ_{z≥0} max(0, level − P(z))`, in bins: a lower bound on the
+    /// perturbed sink's mean over `dt` (see the type docs).
+    fn mean_lower_bound(&self, level: f64, ks: &[i64]) -> f64 {
+        // Below `z0` some factor is 0, so every term there is `level`.
+        let z0 = self
+            .cdfs
+            .iter()
+            .zip(ks)
+            .map(|(cdf, &k)| cdf.offset - k)
+            .max()
+            .unwrap_or(0)
+            .max(0);
+        let mut sum = z0 as f64 * level;
+        for z in z0.. {
+            let product = self.product_above(z, ks, MEAN_PRODUCT_FLOOR);
+            // `P` never falls as `z` grows: every later term is 0.
+            if product >= level {
+                break;
+            }
+            sum += level - product;
+        }
+        sum
     }
 }
 
@@ -709,15 +816,28 @@ impl<'a> Candidate<'a> {
 #[derive(Debug, Clone, Copy)]
 struct HeapEntry {
     key: f64,
-    initialized: bool,
+    stage: Stage,
     idx: usize,
+}
+
+/// What an entry's key is, and so what popping it does.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Stage {
+    /// The delay-only pre-bound, its sink-aware reading not yet taken:
+    /// popped at or above the cut, the reading is taken.
+    Prebound,
+    /// The pre-bound with any sink-aware reading folded in, or `+∞`:
+    /// popped at or above the cut, the candidate is initialized.
+    Uninitialized,
+    /// The front bound `Smx`.
+    Initialized,
 }
 
 impl HeapEntry {
     fn bound(smx: f64, idx: usize) -> Self {
         Self {
             key: smx,
-            initialized: true,
+            stage: Stage::Initialized,
             idx,
         }
     }
@@ -751,6 +871,13 @@ struct Shared<'c> {
     fronts: Vec<Option<Box<Candidate<'c>>>>,
     /// Completed selections, kept sorted best-first.
     completed: Vec<Selection>,
+}
+
+/// The delay-only pre-bound of a candidate: the largest shift of its
+/// pre-bound front (`PrunedSelector::prebound_front`) over `Δw`, an
+/// upper bound on its sensitivity that costs no walk.
+fn prebound_key(front: &[(TimingNode, f64)], delta_w: f64) -> f64 {
+    front.iter().fold(f64::NEG_INFINITY, |a, &(_, d)| a.max(d)) / delta_w
 }
 
 /// The k-th-best pruning threshold over a best-first-sorted completed
@@ -966,26 +1093,41 @@ impl PrunedSelector {
         // A bound an earlier optimizer sweep parked, and no commit since
         // invalidated, is taken as is; every other candidate waits on the
         // heap to be initialized, keyed in an optimizer sweep by its
-        // pre-bound and in a public one by `+∞`.
+        // delay-only pre-bound and in a public one by `+∞`. The
+        // pre-bound fronts wait in one flat list (`fronts_at[idx]..
+        // fronts_at[idx + 1]` per candidate) for the sink-aware reading
+        // at first pop.
         let parking = parked.is_some();
         let mut heap = BinaryHeap::with_capacity(gates.len());
+        let mut prebound_fronts = Vec::new();
+        let mut fronts_at = vec![0; if parking { gates.len() + 1 } else { 0 }];
         for (idx, &gate) in gates.iter().enumerate() {
             let entry = match parked.as_deref().and_then(|p| p.get(gate)) {
                 Some(smx) => {
                     stats.bounds_reused += 1;
                     HeapEntry::bound(smx, idx)
                 }
-                None => HeapEntry {
-                    key: if parking {
-                        self.deadline.check()?;
-                        self.prebound(circuit, gate, sink_bound.as_ref())
+                None if parking => {
+                    self.deadline.check()?;
+                    let front = self.prebound_front(circuit, gate);
+                    let key = prebound_key(&front, self.delta_w);
+                    let stage = if sink_bound.is_some() {
+                        prebound_fronts.extend(front);
+                        Stage::Prebound
                     } else {
-                        f64::INFINITY
-                    },
-                    initialized: false,
+                        Stage::Uninitialized
+                    };
+                    HeapEntry { key, stage, idx }
+                }
+                None => HeapEntry {
+                    key: f64::INFINITY,
+                    stage: Stage::Uninitialized,
                     idx,
                 },
             };
+            if let Some(end) = fronts_at.get_mut(idx + 1) {
+                *end = prebound_fronts.len();
+            }
             heap.push(entry);
         }
         let shared = Mutex::new(Shared {
@@ -1032,11 +1174,31 @@ impl PrunedSelector {
                     break Err(expired);
                 }
                 let idx = entry.idx;
-                if !entry.initialized {
+                if entry.stage != Stage::Initialized {
                     // A pre-bound below the cut prunes with no walk at all.
                     if entry.key < cut {
                         local.pruned += 1;
                         local.prebound_pruned += 1;
+                        continue;
+                    }
+                    if entry.stage == Stage::Prebound {
+                        // The sink-aware reading of the pre-bound front,
+                        // taken only now that the delay-only key reached
+                        // the top at or above the cut.
+                        let sink = sink_bound.as_ref().expect("read only with a table");
+                        let front = &prebound_fronts[fronts_at[idx]..fronts_at[idx + 1]];
+                        let key = entry.key.min(sink.bound_of(front.iter().copied()));
+                        if key < cut {
+                            local.pruned += 1;
+                            local.prebound_pruned += 1;
+                            continue;
+                        }
+                        let entry = HeapEntry {
+                            key,
+                            stage: Stage::Uninitialized,
+                            idx,
+                        };
+                        requeue = Some((entry, None));
                         continue;
                     }
                     // Initialize (Figure 7), recording only the bound: the
@@ -1187,19 +1349,6 @@ impl PrunedSelector {
         front
     }
 
-    /// The pre-bound of a candidate: an upper bound on its sensitivity
-    /// that costs no walk. It is the largest [`prebound_front`] shift
-    /// over `Δw`, or, where the objective has a sink-aware table, the
-    /// smaller of that and the table's reading of the same front.
-    ///
-    /// [`prebound_front`]: Self::prebound_front
-    fn prebound(&self, circuit: &TimedCircuit<'_>, gate: GateId, sink: Option<&SinkBound>) -> f64 {
-        let front = self.prebound_front(circuit, gate);
-        let delta_mx = front.iter().fold(f64::NEG_INFINITY, |a, &(_, d)| a.max(d));
-        let key = delta_mx / self.delta_w;
-        sink.map_or(key, |s| key.min(s.bound_of(front)))
-    }
-
     /// Initializes one candidate front (Figure 7): temporary resize,
     /// propagate the seed perturbations up to the gate's own level,
     /// compute the initial bound.
@@ -1329,8 +1478,8 @@ mod tests {
 
     /// The serial sweep's count of fronts the sink-aware bound pruned is
     /// deterministic: pinned on a bundle of disjoint paths, each its own
-    /// output, where every front reaches one output of six. The mean
-    /// objective gets no sink-aware bound.
+    /// output, where every front reaches one output of six, under the
+    /// 99th percentile and under the mean.
     #[test]
     fn sink_aware_bound_prunes_fronts_the_front_bound_would_advance() {
         let nl = shapes::path_bundle("b", &[5, 6, 7, 8, 5, 6]);
@@ -1342,7 +1491,7 @@ mod tests {
         assert_eq!((stats.sink_pruned, stats.completed), (7, 5));
         assert_eq!(sel.select_with_stats(&circuit, obj).1, stats, "repeatable");
         let (_, mean) = sel.select_with_stats(&circuit, Objective::Mean);
-        assert_eq!(mean.sink_pruned, 0);
+        assert_eq!(mean.sink_pruned, 7);
     }
 
     #[test]
@@ -1740,8 +1889,9 @@ mod tests {
     /// The tolerance covers the sink's own fold: the sink's step CDF
     /// stays within the trim share of [`SINK_TOL_PER_OUTPUT`] (`1e-11`
     /// per in-edge) of the product of its outputs' CDFs at every bin, so
-    /// an untouched front bounds to a sensitivity just above 0. Objectives
-    /// outside the body window get no table.
+    /// an untouched front bounds to a sensitivity just above 0, under
+    /// percentiles and the mean alike. Percentiles outside the body window
+    /// get no table.
     #[test]
     fn sink_tolerance_covers_the_sink_fold() {
         let lib = CellLibrary::synthetic_180nm();
@@ -1770,18 +1920,20 @@ mod tests {
                         sink.at(z)
                     );
                 }
-                for p in [0.5, 0.9, 0.99] {
-                    let table = SinkBound::new(&circuit, Objective::percentile(p), 1.0)
-                        .expect("inside the body window");
+                for objective in [0.5, 0.9, 0.99]
+                    .map(Objective::percentile)
+                    .into_iter()
+                    .chain([Objective::Mean])
+                {
+                    let table =
+                        SinkBound::new(&circuit, objective, 1.0).expect("a table for {objective}");
                     let untouched = table.bound(&NodeMap::default(), true);
                     assert!(
                         (0.0..1e-2).contains(&untouched),
-                        "{at}, p {p}: untouched front bounds to {untouched}"
+                        "{at}, {objective}: untouched front bounds to {untouched}"
                     );
                 }
-                for objective in [Objective::Mean, Objective::Percentile(1e-9)] {
-                    assert!(SinkBound::new(&circuit, objective, 1.0).is_none());
-                }
+                assert!(SinkBound::new(&circuit, Objective::Percentile(1e-9), 1.0).is_none());
             }
         }
     }
@@ -1791,13 +1943,12 @@ mod tests {
     /// front as absorbed, and with every front bound measured — is at
     /// least the exact sensitivity the walk ends with, less
     /// `PRUNE_SLACK`. Returns how many bounds it checked.
-    fn check_sink_bounds(nl: &Netlist, dt: f64, p: f64) -> usize {
+    fn check_sink_bounds(nl: &Netlist, dt: f64, objective: Objective) -> usize {
         let lib = CellLibrary::synthetic_180nm();
         let circuit = TimedCircuit::new(nl, &lib, VariationModel::paper_default(), dt);
         let base = circuit.ssta();
-        let objective = Objective::percentile(p);
         let base_cost = circuit.objective_value(objective);
-        let table = SinkBound::new(&circuit, objective, 1.0).expect("inside the body window");
+        let table = SinkBound::new(&circuit, objective, 1.0).expect("a sink-aware objective");
         let sel = PrunedSelector::new(1.0);
         let mut scratch = DistScratch::new();
         let mut memo = EdgeConvMemo::new(base, circuit.delays());
@@ -1827,7 +1978,7 @@ mod tests {
             for (i, &bound) in bounds.iter().enumerate() {
                 assert!(
                     bound >= exact - PRUNE_SLACK,
-                    "{} at dt {dt}, p {p}, gate {gate}, check {i}: bound {bound} < exact {exact}",
+                    "{} at dt {dt}, {objective}, gate {gate}, check {i}: bound {bound} < exact {exact}",
                     nl.name()
                 );
             }
@@ -1838,8 +1989,17 @@ mod tests {
         checked
     }
 
+    /// The objectives the sink-aware bound serves, as the tests check it.
+    const SINK_OBJECTIVES: [Objective; 4] = [
+        Objective::Percentile(0.5),
+        Objective::Percentile(0.9),
+        Objective::Percentile(0.99),
+        Objective::Mean,
+    ];
+
     /// Theorem 4 per primary output: the sink-aware bound never falls
-    /// below a front's exact sensitivity, at any level of its walk.
+    /// below a front's exact sensitivity, at any level of its walk, under
+    /// the percentile readings and the mean one.
     #[test]
     fn sink_bounds_hold_at_every_level() {
         for dt in [1.0, 0.25] {
@@ -1849,9 +2009,9 @@ mod tests {
                 shapes::diamond("d", 3),
                 fanning_output(),
             ] {
-                for p in [0.5, 0.9, 0.99] {
-                    let checked = check_sink_bounds(&nl, dt, p);
-                    assert!(checked > 0, "{} at dt {dt}, p {p}", nl.name());
+                for objective in SINK_OBJECTIVES {
+                    let checked = check_sink_bounds(&nl, dt, objective);
+                    assert!(checked > 0, "{} at dt {dt}, {objective}", nl.name());
                 }
             }
         }
@@ -1865,8 +2025,62 @@ mod tests {
         let c432 = generator::generate_iscas("c432", 17).unwrap();
         let gen600 = generator::generate_scaled(&generator::ScaledProfile::with_nodes(600), 1);
         for (nl, dt) in [(&c432, 1.0), (&c432, 0.25), (&gen600, 1.0)] {
-            for p in [0.5, 0.9, 0.99] {
-                assert!(check_sink_bounds(nl, dt, p) > 0, "{} at dt {dt}", nl.name());
+            for objective in SINK_OBJECTIVES {
+                let checked = check_sink_bounds(nl, dt, objective);
+                assert!(checked > 0, "{} at dt {dt}, {objective}", nl.name());
+            }
+        }
+    }
+
+    /// The mean reading's shortcuts — the closed-form stretch below
+    /// `max_j(offset_j − k_j)`, the stop where `P` reaches the level and
+    /// the floored partial products — leave it equal to the sum that
+    /// defines it, taken bin by bin from bin 0 to where every factor is
+    /// 1: `(mean − dt · Σ_{z≥0} max(0, 1 − η − tol − P(z))) / Δw`, read
+    /// off every gate's pre-bound front. The reference sum is compensated
+    /// (Neumaier); the two agree to under `1e-12` here, well inside the
+    /// `1e-10` allowed, while `η` alone moves the reading by over `2e-9`
+    /// on every case.
+    #[test]
+    fn mean_reading_matches_the_bin_by_bin_sum() {
+        let lib = CellLibrary::synthetic_180nm();
+        for dt in [1.0, 0.25] {
+            for nl in [bench::c17(), shapes::grid("g", 3, 4), fanning_output()] {
+                let circuit = TimedCircuit::new(&nl, &lib, VariationModel::paper_default(), dt);
+                let table = SinkBound::new(&circuit, Objective::Mean, 1.0).expect("a table");
+                let n = table.cdfs.len();
+                let level = 1.0 - SINK_MASS_DUST - SINK_TOL_PER_OUTPUT * n as f64;
+                let end = table.cdfs.iter().map(StepCdf::end).max().unwrap();
+                let mean = circuit.ssta().sink_arrival().mean();
+                let sel = PrunedSelector::new(1.0);
+                for gate in nl.gate_ids() {
+                    let front = sel.prebound_front(&circuit, gate);
+                    let mut ks = vec![0_i64; n];
+                    for &(node, delta) in &front {
+                        let k = (delta / dt).round() as i64;
+                        for j in reached(table.words, &table.reach, node) {
+                            ks[j] = ks[j].max(k);
+                        }
+                    }
+                    let (mut sum, mut carry) = (0.0_f64, 0.0_f64);
+                    for z in 0..end {
+                        let term = (level - table.product(z, &ks)).max(0.0);
+                        let next = sum + term;
+                        carry += if sum.abs() >= term {
+                            (sum - next) + term
+                        } else {
+                            (term - next) + sum
+                        };
+                        sum = next;
+                    }
+                    let want = mean - dt * (sum + carry);
+                    let got = table.bound_of(front);
+                    assert!(
+                        (got - want).abs() <= 1e-10,
+                        "{} at dt {dt}, gate {gate}: reading {got} vs sum {want}",
+                        nl.name()
+                    );
+                }
             }
         }
     }
@@ -1921,7 +2135,9 @@ mod tests {
                 }
             }
             walk.recycle_into(&mut scratch);
-            let key = sel.prebound(&circuit, gate, table.as_ref());
+            let front = sel.prebound_front(&circuit, gate);
+            let key = prebound_key(&front, 1.0);
+            let key = table.as_ref().map_or(key, |t| key.min(t.bound_of(front)));
             assert!(
                 key >= brute.sensitivity - PRUNE_SLACK,
                 "{at}: key {key} < sensitivity {}",

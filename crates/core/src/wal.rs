@@ -689,6 +689,15 @@ mod tests {
         }
     }
 
+    /// Held by every test that writes or reads a WAL file. The
+    /// failpoint registry is process-wide, so while one test has
+    /// `wal::append` or `wal::replay` armed, another test's appends and
+    /// reads would fire it too.
+    fn wal_files() -> std::sync::MutexGuard<'static, ()> {
+        static WAL_FILES: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        WAL_FILES.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     fn sample_records() -> Vec<WalRecord> {
         vec![
             WalRecord::Load {
@@ -749,6 +758,7 @@ mod tests {
 
     #[test]
     fn write_read_apply_round_trips_and_seals() {
+        let _files = wal_files();
         let dir = std::env::temp_dir().join("statsize-wal-test-roundtrip");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("wal.jsonl");
@@ -822,6 +832,7 @@ mod tests {
 
     #[test]
     fn torn_tail_truncates_to_the_durable_prefix() {
+        let _files = wal_files();
         let dir = std::env::temp_dir().join("statsize-wal-test-torn");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("wal.jsonl");
@@ -848,6 +859,7 @@ mod tests {
 
     #[test]
     fn append_failpoint_tears_mid_write_and_recovery_keeps_the_prefix() {
+        let _files = wal_files();
         let dir = std::env::temp_dir().join("statsize-wal-test-failpoint");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("wal.jsonl");
@@ -875,6 +887,7 @@ mod tests {
 
     #[test]
     fn replay_failpoint_tears_at_read_time() {
+        let _files = wal_files();
         let dir = std::env::temp_dir().join("statsize-wal-test-replayfp");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("wal.jsonl");
@@ -928,6 +941,7 @@ mod tests {
         .expect_err("unknown session must fail replay");
         assert!(matches!(err, WalError::Replay { .. }), "{err}");
 
+        let _files = wal_files();
         let dir = std::env::temp_dir().join("statsize-wal-test-header");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("wal.jsonl");

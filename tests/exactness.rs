@@ -159,6 +159,49 @@ fn identical_where_the_sink_aware_bound_prunes() {
     }
 }
 
+/// Pruned ≡ brute on the campaign benchmark's warm job that the mean's
+/// sink-aware bound prunes most: c1355 at dt 0.25, sized by a two-step
+/// 99th-percentile descent, then two steps under the mean. The reusing
+/// optimizer run, the public selector and brute force walk one
+/// trajectory, gate and sensitivity bits alike. Run with
+/// `cargo test --release -q --test exactness -- --ignored`.
+#[test]
+#[ignore = "slow: run in release with --ignored"]
+fn identical_on_the_warm_mean_job() {
+    let nl = statsize_bench::suite::build_circuit("c1355", 1);
+    let lib = CellLibrary::synthetic_180nm();
+    let dt = 0.25;
+    let mut start = TimedCircuit::new(&nl, &lib, VariationModel::paper_default(), dt);
+    Optimizer::new(Objective::percentile(0.99), SelectorKind::Pruned)
+        .with_max_iterations(2)
+        .run(&mut start);
+    let widths = start.sizes().widths().to_vec();
+    let at_start = || {
+        let mut c = TimedCircuit::new(&nl, &lib, VariationModel::paper_default(), dt);
+        c.set_sizes(&widths);
+        c
+    };
+    let mut reusing = at_start();
+    let run = Optimizer::new(Objective::Mean, SelectorKind::Pruned)
+        .with_max_iterations(2)
+        .run(&mut reusing);
+    let mut circuit = at_start();
+    for step in 0..2 {
+        let b = BruteForceSelector::new(1.0).select(&circuit, Objective::Mean);
+        let p = PrunedSelector::new(1.0).select(&circuit, Objective::Mean);
+        assert_eq!(b, p, "c1355: pruned vs brute at step {step}");
+        let sel = b.expect("the mean still improves");
+        let r = &run.iterations[step];
+        assert_eq!(
+            (r.gate, r.sensitivity.to_bits()),
+            (sel.gate, sel.sensitivity.to_bits()),
+            "c1355: reusing run vs brute at step {step}"
+        );
+        circuit.commit_resize(sel.gate, 1.0);
+    }
+    assert_eq!(reusing.sizes(), circuit.sizes());
+}
+
 /// `Optimizer::run` reuses parked Figure-7 bounds across its sweeps and
 /// prunes on pre-bounds without initializing;
 /// `PrunedSelector::select_with_stats` initializes every candidate. The
