@@ -531,7 +531,10 @@ fn main() {
     // `s1` is the serial reference; `s2` runs two shard workers. The
     // `c432+c880+c1355` corpus lists its largest circuit last: shards
     // claim it first, and the shard that drains the small ones lends its
-    // thread to the big circuit's remaining sweeps.
+    // thread to the big circuit's sweeps, the running one included.
+    // Below each row, over every pass the row ran (warm-up included):
+    // how many of a pass's sweeps ran on lent threads, and its wall time
+    // (min / median / max).
     {
         let lib = CellLibrary::synthetic_180nm();
         let corpora: [(&[&str], &[usize]); 2] = [
@@ -547,11 +550,25 @@ fn main() {
                 let campaign = Campaign::new(Objective::percentile(0.99), SelectorKind::Pruned)
                     .with_max_iterations(2)
                     .with_shards(shards);
+                let mut passes = Vec::new();
                 record(
                     format!("campaign/{}/s{shards}", names.join("+")),
                     measure(effort, || {
-                        black_box(campaign.run(black_box(&jobs), &lib));
+                        let report = campaign.run(black_box(&jobs), &lib);
+                        passes.push((report.lent_sweeps, report.wall.as_secs_f64() * 1e3));
                     }),
+                );
+                let spread = |mut v: Vec<f64>, digits: usize| {
+                    v.sort_by(f64::total_cmp);
+                    let (min, median, max) = (v[0], v[v.len() / 2], v[v.len() - 1]);
+                    format!("{min:.digits$} / {median:.digits$} / {max:.digits$}")
+                };
+                println!(
+                    "{:<28} {} passes  lent_sweeps {}  pass_ms {}",
+                    "",
+                    passes.len(),
+                    spread(passes.iter().map(|p| p.0 as f64).collect(), 0),
+                    spread(passes.iter().map(|p| p.1).collect(), 1),
                 );
             }
         }

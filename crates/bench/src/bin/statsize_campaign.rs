@@ -21,8 +21,8 @@
 //! * `--shards=N` — circuit-level workers (default 1).
 //! * `--threads=N` — **total** selector-thread budget: each shard owns
 //!   `N / shards` threads (at least one) while it has jobs; the rest,
-//!   and the threads of shards that run out of jobs, are lent to each
-//!   selector sweep as it starts (default: one selector thread per
+//!   and the threads of shards that run out of jobs, are lent to the
+//!   selector sweeps that are running (default: one selector thread per
 //!   shard). Shards claim the largest circuits first.
 //! * `--out=PATH` — report path (default `campaign_report.json`).
 //! * `--timing` — include wall-clock fields in the report. Off by

@@ -3,7 +3,7 @@
 use crate::circuit::TimedCircuit;
 use crate::deadline::{Deadline, DeadlineExceeded};
 use crate::objective::Objective;
-use crate::parallel::{default_threads, normalize_threads, run_indexed};
+use crate::parallel::{default_threads, normalize_threads, run_indexed, Grant};
 use crate::selection::Selection;
 use statsize_dist::DistScratch;
 use statsize_netlist::GateId;
@@ -137,6 +137,17 @@ impl BruteForceSelector {
         circuit: &TimedCircuit<'_>,
         objective: Objective,
     ) -> Result<Vec<Selection>, DeadlineExceeded> {
+        self.sensitivities(circuit, objective, None)
+    }
+
+    /// [`try_all_sensitivities`](Self::try_all_sensitivities), its
+    /// workers growing by what `loan`'s pool receives mid-sweep.
+    fn sensitivities(
+        &self,
+        circuit: &TimedCircuit<'_>,
+        objective: Objective,
+        loan: Option<&Grant<'_>>,
+    ) -> Result<Vec<Selection>, DeadlineExceeded> {
         let gates: Vec<GateId> = circuit.netlist().gate_ids().collect();
         let threads = normalize_threads(self.threads, gates.len());
         let base_cost = circuit.objective_value(objective);
@@ -145,12 +156,18 @@ impl BruteForceSelector {
         // all its walks, and the results land in gate-id order: every
         // walk reads only the immutable circuit state. One worker runs on
         // the calling thread and walks the gates in order.
-        run_indexed(threads, gates.len(), DistScratch::new, |scratch, idx| {
-            // Cooperative deadline, once per candidate cone walk. Once
-            // expired it stays expired, so every later claim errs at once.
-            self.deadline.check()?;
-            Ok(self.one_sensitivity(circuit, objective, base_cost, gates[idx], scratch))
-        })
+        run_indexed(
+            threads,
+            loan,
+            gates.len(),
+            DistScratch::new,
+            |scratch, idx| {
+                // Cooperative deadline, once per candidate cone walk. Once
+                // expired it stays expired, so every later claim errs at once.
+                self.deadline.check()?;
+                Ok(self.one_sensitivity(circuit, objective, base_cost, gates[idx], scratch))
+            },
+        )
         .into_iter()
         .collect()
     }
@@ -211,8 +228,20 @@ impl BruteForceSelector {
         objective: Objective,
         k: usize,
     ) -> Result<Vec<Selection>, DeadlineExceeded> {
+        self.try_select_top_k_lending(circuit, objective, k, None)
+    }
+
+    /// The optimizer's sweep: [`try_select_top_k`](Self::try_select_top_k),
+    /// its workers growing by what `loan`'s pool receives mid-sweep.
+    pub(crate) fn try_select_top_k_lending(
+        &self,
+        circuit: &TimedCircuit<'_>,
+        objective: Objective,
+        k: usize,
+        loan: Option<&Grant<'_>>,
+    ) -> Result<Vec<Selection>, DeadlineExceeded> {
         assert!(k > 0, "k must be positive");
-        let mut all = self.try_all_sensitivities(circuit, objective)?;
+        let mut all = self.sensitivities(circuit, objective, loan)?;
         all.sort_by(|a, b| {
             if a.better_than(b) {
                 std::cmp::Ordering::Less

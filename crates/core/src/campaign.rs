@@ -17,17 +17,18 @@
 //! each shard owns `total / shards` threads (floored at one) while it
 //! has jobs, and the rest — the remainder of that split, plus the
 //! threads of every shard that finds the job queue empty — sits in a
-//! spare pool. Each selector sweep that starts takes every spare thread
-//! and returns them when it ends, so the circuits still running at the
-//! tail of a campaign pick up the threads of the shards that have
-//! drained. A shard cannot run with zero selector threads, so a budget
-//! *below* the shard count degrades to one thread per shard, i.e.
-//! `shards` concurrent threads. Because every per-circuit optimization
-//! is bit-identical for any selector thread count (the PR 3 contract)
-//! and circuits are independent, the campaign outcome is
-//! **bit-identical to running each circuit serially** regardless of the
-//! shard count, the budget, or which sweep borrowed which thread —
-//! pinned by `tests/campaign_determinism.rs`.
+//! spare pool. Each selector sweep that starts takes every spare thread,
+//! its workers take every thread that comes back while it runs, and the
+//! sweep returns them all when it ends, so the circuits still running at
+//! the tail of a campaign pick up the threads of the shards that have
+//! drained, even in the middle of a sweep. A shard cannot run with zero
+//! selector threads, so a budget *below* the shard count degrades to one
+//! thread per shard, i.e. `shards` concurrent threads. Because every
+//! per-circuit optimization is bit-identical for any selector thread
+//! count and schedule (see `parallel`) and circuits are independent, the
+//! campaign outcome is **bit-identical to running each circuit
+//! serially** regardless of the shard count, the budget, or which sweep
+//! borrowed which thread — pinned by `tests/campaign_determinism.rs`.
 //!
 //! # Fault tolerance
 //!
@@ -393,8 +394,9 @@ pub struct CampaignReport {
     /// (`total / shards`, floored at one) — see
     /// [`Campaign::threads_per_shard`].
     pub threads_per_shard: usize,
-    /// Selector sweeps that ran with threads lent from the spare pool
-    /// (see [`Campaign::with_total_threads`]). Depends on the schedule,
+    /// Selector sweeps that ran with threads lent from the spare pool,
+    /// each counted once however often it grew (see
+    /// [`Campaign::with_total_threads`]). Depends on the schedule,
     /// like the wall clock, so it is runtime metadata only.
     pub lent_sweeps: usize,
     /// Jobs served from the result store's exact-key cache without an
@@ -543,8 +545,9 @@ impl Campaign {
     /// selector threads while it has jobs; the remainder of the budget,
     /// and the threads of every shard that finds the job queue empty,
     /// wait in a spare pool. Every selector sweep takes all spare
-    /// threads when it starts and returns them when it ends, so no part
-    /// of the budget idles while a sweep is running and the concurrent
+    /// threads when it starts and every thread that comes back while it
+    /// runs, and returns them when it ends, so no part of the budget
+    /// idles while a sweep is running and the concurrent
     /// selector-thread count stays within the budget whenever
     /// `total >= shards`. A shard cannot run with zero selector threads,
     /// so a budget smaller than the shard count degrades to `shards`
@@ -604,7 +607,7 @@ impl Campaign {
 
     /// The selector threads each shard owns while it has jobs under the
     /// current budget — `total / shards`, floored at one. Sweeps widen
-    /// it with whatever the spare pool holds when they start (see
+    /// it with whatever the spare pool lends them (see
     /// [`with_total_threads`](Self::with_total_threads)); this figure is
     /// the one reported by [`CampaignReport::threads_per_shard`].
     /// When a run caps the shard count to a smaller job count, the
@@ -728,6 +731,7 @@ impl Campaign {
         // escapes into an error instead of poisoning the other shards.
         let claimed = parallel::run_indexed_isolated(
             shards,
+            None,
             jobs.len(),
             || spare.hold(threads_per_shard),
             |own, claim| {

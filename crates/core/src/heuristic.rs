@@ -13,7 +13,7 @@
 use crate::circuit::TimedCircuit;
 use crate::deadline::{Deadline, DeadlineExceeded};
 use crate::objective::Objective;
-use crate::parallel::{default_threads, normalize_threads, run_indexed};
+use crate::parallel::{default_threads, normalize_threads, run_indexed, Grant};
 use crate::selection::Selection;
 use statsize_dist::{lattice_shift_bound, DistScratch};
 use statsize_netlist::GateId;
@@ -178,6 +178,17 @@ impl HeuristicSelector {
         circuit: &TimedCircuit<'_>,
         objective: Objective,
     ) -> Result<Option<Selection>, DeadlineExceeded> {
+        self.try_select_lending(circuit, objective, None)
+    }
+
+    /// The optimizer's sweep: [`try_select`](Self::try_select), its
+    /// workers growing by what `loan`'s pool receives mid-sweep.
+    pub(crate) fn try_select_lending(
+        &self,
+        circuit: &TimedCircuit<'_>,
+        objective: Objective,
+        loan: Option<&Grant<'_>>,
+    ) -> Result<Option<Selection>, DeadlineExceeded> {
         let base_cost = circuit.objective_value(objective);
         let gates: Vec<GateId> = circuit.netlist().gate_ids().collect();
         let threads = normalize_threads(self.threads, gates.len());
@@ -186,6 +197,7 @@ impl HeuristicSelector {
         // the calling thread and scores the gates in order.
         let scores = run_indexed(
             threads,
+            loan,
             gates.len(),
             || {
                 (

@@ -373,7 +373,8 @@ impl Optimizer {
     }
 
     /// [`step`](Self::step), with the selector sweep widened by every
-    /// thread `spare` holds when the sweep starts (see [`SpareThreads`]).
+    /// thread `spare` holds when the sweep starts or receives while it
+    /// runs (see [`SpareThreads`]).
     pub(crate) fn step_lending(
         &self,
         circuit: &mut TimedCircuit<'_>,
@@ -457,8 +458,9 @@ impl Optimizer {
         }
     }
 
-    /// One selector sweep under `deadline`. A statistical sweep runs on
-    /// the configured threads plus every thread `spare` lends it; the
+    /// One selector sweep under `deadline`. A statistical sweep starts on
+    /// the configured threads plus every thread `spare` holds, and its
+    /// workers take the threads the pool receives while it runs; the
     /// loan returns to the pool when the sweep ends, however it ends.
     /// The deterministic selector is a single STA pass and borrows
     /// nothing. The pruned sweep reuses the Figure-7 bounds parked on
@@ -475,6 +477,7 @@ impl Optimizer {
             _ => spare.map(SpareThreads::lend),
         };
         let threads = self.threads + loan.as_ref().map_or(0, Grant::threads);
+        let loan = loan.as_ref();
         match self.selector {
             SelectorKind::Deterministic => Ok((
                 DeterministicSelector::new(self.delta_w)
@@ -486,18 +489,18 @@ impl Optimizer {
             SelectorKind::BruteForce => BruteForceSelector::new(self.delta_w)
                 .with_threads(threads)
                 .with_deadline(deadline)
-                .try_select_top_k(circuit, self.objective, k)
+                .try_select_top_k_lending(circuit, self.objective, k, loan)
                 .map(|s| (s, None)),
             SelectorKind::Pruned => PrunedSelector::new(self.delta_w)
                 .with_threads(threads)
                 .with_deadline(deadline)
-                .try_select_top_k_reusing(circuit, self.objective, k)
+                .try_select_top_k_reusing(circuit, self.objective, k, loan)
                 .map(|(s, stats)| (s, Some(stats))),
             SelectorKind::Heuristic { lookahead } => {
                 HeuristicSelector::new(self.delta_w, lookahead)
                     .with_threads(threads)
                     .with_deadline(deadline)
-                    .try_select(circuit, self.objective)
+                    .try_select_lending(circuit, self.objective, loan)
                     .map(|s| (s.into_iter().collect(), None))
             }
         }
@@ -518,7 +521,7 @@ impl Optimizer {
     }
 
     /// [`run`](Self::run), each sweep widened by the threads `spare`
-    /// holds when it starts (see [`step_lending`](Self::step_lending)).
+    /// lends it (see [`step_lending`](Self::step_lending)).
     pub(crate) fn run_lending(
         &self,
         circuit: &mut TimedCircuit<'_>,

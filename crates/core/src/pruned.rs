@@ -170,7 +170,11 @@
 //! when it pops from an empty heap: every unfinished front then sits with
 //! a live worker, which pushes it back and pops again, so no worker ever
 //! waits on another. The deadline is polled once per pop, and once per
-//! pre-bound while an optimizer sweep seeds its heap.
+//! pre-bound while an optimizer sweep seeds its heap. In a campaign, an
+//! optimizer sweep's workers also poll the spare-thread pool once per
+//! pop and, when it holds threads, spawn that many more workers of the
+//! same loop into the sweep (`parallel::run_workers`): a running sweep
+//! widens as soon as a drained shard's threads come back.
 //!
 //! The *returned selections are bit-identical for every thread count*,
 //! by construction rather than by luck: a candidate is only ever pruned
@@ -188,11 +192,13 @@
 //! decides which candidates are pruned on their pre-bound; the bounds
 //! parked for the next sweep are not: only those of candidates whose
 //! pre-bound reaches the final cut, which every schedule initializes.
+//! A worker grown mid-sweep is one more schedule of the same loop, so
+//! all of this holds for it too.
 
 use crate::circuit::{ParkedBounds, TimedCircuit};
 use crate::deadline::{Deadline, DeadlineExceeded};
 use crate::objective::Objective;
-use crate::parallel::{default_threads, normalize_threads, run_workers};
+use crate::parallel::{default_threads, normalize_threads, run_workers, Grant};
 use crate::selection::Selection;
 use statsize_dist::{lattice_shift_bound, Dist, DistScratch};
 use statsize_netlist::GateId;
@@ -601,19 +607,35 @@ impl SinkBound {
 
     /// `Σ_{z≥0} max(0, level − P(z))`, in bins: a lower bound on the
     /// perturbed sink's mean over `dt` (see the type docs).
+    ///
+    /// `P` is built for every bin at once, factor by factor in output
+    /// order, each factor a contiguous stretch of its step CDF: per bin
+    /// the same products in the same order as
+    /// [`product_above`](Self::product_above) takes them, so the sum is
+    /// the bin-by-bin one bit for bit.
     fn mean_lower_bound(&self, level: f64, ks: &[i64]) -> f64 {
-        // Below `z0` some factor is 0, so every term there is `level`.
-        let z0 = self
-            .cdfs
-            .iter()
-            .zip(ks)
+        // Below `z0` some factor is 0, so every term there is `level`;
+        // from `z1` on every factor is 1, so `P` has reached the level.
+        let shifted = || self.cdfs.iter().zip(ks);
+        let z0 = shifted()
             .map(|(cdf, &k)| cdf.offset - k)
             .max()
             .unwrap_or(0)
             .max(0);
+        let z1 = shifted().map(|(cdf, &k)| cdf.end() - k).max().unwrap_or(0);
+        let mut products = vec![1.0; usize::try_from(z1 - z0).unwrap_or(0)];
+        for (cdf, &k) in shifted() {
+            // Bin `z0 + i` reads `cum[from + i]`, and 1 past the end.
+            let from = usize::try_from(z0 + k - cdf.offset).expect("no factor is 0 from z0 on");
+            for (product, &f) in products.iter_mut().zip(cdf.cum.get(from..).unwrap_or(&[])) {
+                // A product under the floor takes no further factors.
+                if *product >= MEAN_PRODUCT_FLOOR {
+                    *product *= f;
+                }
+            }
+        }
         let mut sum = z0 as f64 * level;
-        for z in z0.. {
-            let product = self.product_above(z, ks, MEAN_PRODUCT_FLOOR);
+        for product in products {
             // `P` never falls as `z` grows: every later term is 0.
             if product >= level {
                 break;
@@ -1043,35 +1065,39 @@ impl PrunedSelector {
         objective: Objective,
         k: usize,
     ) -> Result<(Vec<Selection>, PruneStats), DeadlineExceeded> {
-        self.sweep(circuit, objective, k, None)
+        self.sweep(circuit, objective, k, None, None)
     }
 
     /// The optimizer's sweep: [`try_select_top_k_with_stats`](Self::try_select_top_k_with_stats),
     /// taking each candidate's initial bound from the bounds parked on
     /// `circuit` where one is still valid, keying every other by its
     /// pre-bound, and parking for the next sweep every bound it
-    /// initializes whose pre-bound reaches the final cut.
+    /// initializes whose pre-bound reaches the final cut. Its workers
+    /// grow by what `loan`'s pool receives mid-sweep.
     pub(crate) fn try_select_top_k_reusing(
         &self,
         circuit: &mut TimedCircuit<'_>,
         objective: Objective,
         k: usize,
+        loan: Option<&Grant<'_>>,
     ) -> Result<(Vec<Selection>, PruneStats), DeadlineExceeded> {
         let candidates = circuit.netlist().gate_count();
         circuit.with_parked_bounds(|circuit, parked| {
             parked.prepare(candidates, self.delta_w);
-            self.sweep(circuit, objective, k, Some(parked))
+            self.sweep(circuit, objective, k, Some(parked), loan)
         })
     }
 
     /// The sweep (Figure 6) on `threads` workers sharing one heap (see
-    /// the module docs), reading and filling `parked` when given.
+    /// the module docs), reading and filling `parked` when given, and
+    /// growing by what `loan`'s pool receives.
     fn sweep(
         &self,
         circuit: &TimedCircuit<'_>,
         objective: Objective,
         k: usize,
         parked: Option<&mut ParkedBounds>,
+        loan: Option<&Grant<'_>>,
     ) -> Result<(Vec<Selection>, PruneStats), DeadlineExceeded> {
         assert!(k > 0, "k must be positive");
         assert!(
@@ -1136,7 +1162,7 @@ impl PrunedSelector {
             completed: Vec::new(),
         });
 
-        let workers = run_workers(threads, || {
+        let workers = run_workers(threads, loan, |grow| {
             // Each worker's buffer pool and side-edge convolution memo
             // serve every front it touches: distributions a front retires
             // serve the next step, and a side input convolved for one
@@ -1173,6 +1199,7 @@ impl PrunedSelector {
                 if let Err(expired) = self.deadline.check() {
                     break Err(expired);
                 }
+                grow();
                 let idx = entry.idx;
                 if entry.stage != Stage::Initialized {
                     // A pre-bound below the cut prunes with no walk at all.
@@ -1291,12 +1318,14 @@ impl PrunedSelector {
             .into_inner()
             .expect("sweep worker panicked")
             .completed;
-        // Worker-index order: a fixed merge order for every counter and
-        // every freshly recorded bound, parked even when the deadline
-        // expired. Only a bound whose pre-bound reaches the final cut is
-        // parked: every such candidate initializes on every schedule,
-        // while one below it initializes only where the cut rose late,
-        // so the parked set is the same for every thread count. With one
+        // The merge order, which on a grown crew depends on when each
+        // worker was spawned, does not matter: counters add up, and each
+        // candidate initializes at most once, so it records at most one
+        // fresh bound, parked even when the deadline expired. Only a
+        // bound whose pre-bound reaches the final cut is parked: every
+        // such candidate initializes on every schedule, while one below
+        // it initializes only where the cut rose late, so the parked set
+        // is the same for every thread count and every schedule. With one
         // worker nothing is dropped: a key below the final cut pops only
         // after every top-k front completed, and is pruned.
         if let Some(parked) = parked {
@@ -1620,7 +1649,7 @@ mod tests {
         let sweep = |circuit: &mut TimedCircuit<'_>, delta_w: f64| {
             PrunedSelector::new(delta_w)
                 .with_threads(threads)
-                .try_select_top_k_reusing(circuit, obj, 1)
+                .try_select_top_k_reusing(circuit, obj, 1, None)
                 .expect("no deadline")
         };
         let gates = nl.topological_gates();
@@ -2085,6 +2114,79 @@ mod tests {
         }
     }
 
+    /// The mean reading taken bin by bin, one product per bin: the
+    /// reference [`SinkBound::mean_lower_bound`] must match bit for bit.
+    fn mean_lower_bound_per_bin(table: &SinkBound, level: f64, ks: &[i64]) -> f64 {
+        let z0 = table
+            .cdfs
+            .iter()
+            .zip(ks)
+            .map(|(cdf, &k)| cdf.offset - k)
+            .max()
+            .unwrap_or(0)
+            .max(0);
+        let mut sum = z0 as f64 * level;
+        for z in z0.. {
+            let product = table.product_above(z, ks, MEAN_PRODUCT_FLOOR);
+            if product >= level {
+                break;
+            }
+            sum += level - product;
+        }
+        sum
+    }
+
+    /// The mean reading, built for the whole bin range factor by factor,
+    /// is the bin-by-bin sum bit for bit, over random shift vectors:
+    /// most outputs unshifted, some shifted by a few bins, some past the
+    /// end of their CDF.
+    #[test]
+    fn mean_reading_pins_the_bin_by_bin_bits() {
+        let lib = CellLibrary::synthetic_180nm();
+        // SplitMix64: a fixed, dependency-free stream.
+        let mut state = 0x5eed_u64;
+        let mut next = move |below: u64| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            (z ^ (z >> 31)) % below
+        };
+        for dt in [1.0, 0.25] {
+            for nl in [
+                bench::c17(),
+                fanning_output(),
+                generator::generate_iscas("c432", 17).unwrap(),
+            ] {
+                let circuit = TimedCircuit::new(&nl, &lib, VariationModel::paper_default(), dt);
+                let table = SinkBound::new(&circuit, Objective::Mean, 1.0).expect("a table");
+                let Reading::Mean { level } = table.reading else {
+                    unreachable!("a mean table reads the mean")
+                };
+                let span = table.cdfs.iter().map(|c| c.cum.len()).max().unwrap() as u64;
+                for _ in 0..200 {
+                    let ks: Vec<i64> = table
+                        .cdfs
+                        .iter()
+                        .map(|_| match next(4) {
+                            0 | 1 => 0,
+                            2 => next(8) as i64,
+                            _ => next(2 * span) as i64,
+                        })
+                        .collect();
+                    let got = table.mean_lower_bound(level, &ks);
+                    let want = mean_lower_bound_per_bin(&table, level, &ks);
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "{} at dt {dt}, shifts {ks:?}: {got} vs {want}",
+                        nl.name()
+                    );
+                }
+            }
+        }
+    }
+
     /// Checks every candidate's pre-bound against the walk it stands in
     /// for. The premise: walked up to the gate's own level, each
     /// pre-bound front node (the outputs of the gate's drivers and of the
@@ -2265,7 +2367,7 @@ mod tests {
                     }
                     let mut fresh =
                         TimedCircuit::new(&nl, &lib, VariationModel::paper_default(), 2.0);
-                    match sel.try_select_top_k_reusing(&mut fresh, obj, 2) {
+                    match sel.try_select_top_k_reusing(&mut fresh, obj, 2, None) {
                         Err(DeadlineExceeded) => {}
                         Ok((got, stats)) => {
                             assert_eq!(got, want, "{at}, reusing");
@@ -2274,7 +2376,7 @@ mod tests {
                     }
                     let (got, _) = PrunedSelector::new(1.0)
                         .with_threads(threads)
-                        .try_select_top_k_reusing(&mut fresh, obj, 2)
+                        .try_select_top_k_reusing(&mut fresh, obj, 2, None)
                         .expect("no deadline");
                     assert_eq!(got, want, "{at}, unlimited reusing after it");
                 }

@@ -1177,6 +1177,7 @@ impl SessionStore {
 
         let group_outcomes: Vec<Result<GroupResult, String>> = parallel::run_indexed_isolated(
             workers,
+            None,
             meta.len(),
             || (),
             |_, gi| {

@@ -75,7 +75,7 @@ fn report_is_bit_identical_across_shard_counts() {
 fn lent_threads_keep_the_largest_last_corpus_bit_identical() {
     // The largest circuit listed last: shards claim it first, and once
     // the other shard has drained the small jobs, its threads are lent
-    // to the big circuit's remaining sweeps.
+    // to the big circuit's sweeps, the running one included.
     let jobs = vec![
         CampaignJob::new("c17", bench::c17()),
         CampaignJob::new("gen60", generate_scaled(&ScaledProfile::with_nodes(60), 1)),
